@@ -23,7 +23,6 @@ from .analysis import (
     prob_weakest_first_positive_quadrature,
     stage_thresholds,
 )
-from ._kernels import available_backends, get_backend, set_backend
 from .cli import (
     FigureMatrix,
     ScenarioConfig,
@@ -117,8 +116,4 @@ __all__ = [
     "figure_csv",
     "figure_svg",
     "main",
-    # kernel backends
-    "available_backends",
-    "get_backend",
-    "set_backend",
 ]

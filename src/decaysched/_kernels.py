@@ -1,206 +1,99 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-Two inner loops dominate this package's runtime: exhaustive permutation
-search over stage/item value tables, and Monte Carlo trial counting.  Both
-are implemented twice, once with ``numba.njit`` and once in vectorized
-numpy, and produce bit-identical results (random draws are always generated
-by the caller, in numpy, so backends only differ in how they crunch them).
+Two inner loops dominate this package's runtime: the exhaustive search for
+the best service order over a stage/item value table, and Monte Carlo trial
+counting.
 
-Backend selection: the ``DECAYSCHED_BACKEND`` environment variable, read at
-import time, may name ``numba`` or ``numpy``; unset defaults to numba when
-importable.  ``set_backend()`` switches at runtime (used by the tests and
-the benchmark in ``benchmarks/compare_backends.py``).
+The search is a forward dynamic programme over subsets of served items
+(Held & Karp 1962, *J. SIAM* 10(1):196-210): O(n^2 * 2^n) work instead of
+the O(n * n!) of enumerating every order.  It folds the table stage by
+stage, exactly as an enumeration would, and both ``x + c`` and ``x * c``
+(for ``c >= 0``) round monotonically in ``x``, so the best fold of a subset
+extends to the best fold of its supersets and the optimum is bit-identical
+to the enumeration's.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
+from functools import lru_cache
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    _NUMBA_AVAILABLE = False
-
 __all__ = [
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "best_permutation",
     "count_positive_trials",
 ]
 
-_ENV_VAR = "DECAYSCHED_BACKEND"
 
-# rows per fallback chunk: 8! keeps peak memory ~n * 8! * 8B
-_PERM_BATCH = 40320
+@lru_cache(maxsize=None)
+def _subset_layers(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Subsets of k items, one entry per size 1..k.
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def _best_permutation_numpy(stage_item: np.ndarray, use_product: bool):
-    n = stage_item.shape[0]
-    best_value = -np.inf
-    best_perm = np.arange(n, dtype=np.int64)
-    perms_iter = itertools.permutations(range(n))
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(perms_iter, _PERM_BATCH)),
-            dtype=np.int64,
-        )
-        if flat.size == 0:
-            break
-        perms = flat.reshape(-1, n)
-        # accumulate stage by stage so rounding matches the jitted loop exactly
-        values = stage_item[0, perms[:, 0]].copy()
-        for i in range(1, n):
-            col = stage_item[i, perms[:, i]]
-            if use_product:
-                values *= col
-            else:
-                values += col
-        k = int(np.argmax(values))
-        if values[k] > best_value:
-            best_value = float(values[k])
-            best_perm = perms[k].copy()
-    return best_value, best_perm
+    Each entry is ``(masks, items, preds)``: the bitmasks of that size, the
+    items in each mask (one row per mask, ascending) and the mask without
+    that item.
+    """
+    masks = np.arange(1 << k, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(k)) & 1
+    sizes = bits.sum(axis=1)
+    layers = []
+    for size in range(1, k + 1):
+        layer = masks[sizes == size]
+        items = np.nonzero(bits[layer])[1].reshape(layer.size, size)
+        layers.append((layer, items, layer[:, None] ^ (1 << items)))
+    return tuple(layers)
 
 
-def _count_positive_trials_numpy(draws: np.ndarray, thresholds: np.ndarray, descending: bool) -> int:
-    s = np.sort(draws, axis=1)
-    if descending:
-        s = s[:, ::-1]
-    return int(np.all(s > thresholds, axis=1).sum())
+def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.ndarray:
+    """Best fold of each table in a batch over every order of its k items.
 
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily on first call)
-
-if _NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _best_permutation_numba(stage_item, use_product):  # pragma: no cover - jitted
-        n = stage_item.shape[0]
-        perm = np.arange(n)
-        best_perm = perm.copy()
-        best_value = -np.inf
-        while True:
-            if use_product:
-                value = 1.0
-                for i in range(n):
-                    value *= stage_item[i, perm[i]]
-            else:
-                value = 0.0
-                for i in range(n):
-                    value += stage_item[i, perm[i]]
-            if value > best_value:
-                best_value = value
-                best_perm[:] = perm
-            # advance to the next permutation in lexicographic order
-            i = n - 2
-            while i >= 0 and perm[i] >= perm[i + 1]:
-                i -= 1
-            if i < 0:
-                break
-            j = n - 1
-            while perm[j] <= perm[i]:
-                j -= 1
-            perm[i], perm[j] = perm[j], perm[i]
-            lo = i + 1
-            hi = n - 1
-            while lo < hi:
-                perm[lo], perm[hi] = perm[hi], perm[lo]
-                lo += 1
-                hi -= 1
-        return best_value, best_perm
-
-    @njit(cache=True)
-    def _count_positive_trials_numba(draws, thresholds, descending):  # pragma: no cover - jitted
-        trials, n = draws.shape
-        count = 0
-        row = np.empty(n)
-        for r in range(trials):
-            for i in range(n):
-                row[i] = draws[r, i]
-            # in-place insertion sort: avoids a per-trial allocation
-            for i in range(1, n):
-                x = row[i]
-                j = i - 1
-                while j >= 0 and row[j] > x:
-                    row[j + 1] = row[j]
-                    j -= 1
-                row[j + 1] = x
-            ok = True
-            if descending:
-                for k in range(n):
-                    if row[n - 1 - k] <= thresholds[k]:
-                        ok = False
-                        break
-            else:
-                for k in range(n):
-                    if row[k] <= thresholds[k]:
-                        ok = False
-                        break
-            if ok:
-                count += 1
-        return count
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in this process, fastest first."""
-    return ("numba", "numpy") if _NUMBA_AVAILABLE else ("numpy",)
-
-
-def _backend_from_env(value: str | None) -> str:
-    if value is None or value == "":
-        return "numba" if _NUMBA_AVAILABLE else "numpy"
-    name = value.strip().lower()
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {value!r}")
-    if name == "numba" and not _NUMBA_AVAILABLE:
-        raise ValueError(f"{_ENV_VAR}=numba requested but numba is not importable")
-    return name
-
-
-_active_backend = _backend_from_env(os.environ.get(_ENV_VAR))
-
-
-def get_backend() -> str:
-    """Name of the backend currently in use ('numba' or 'numpy')."""
-    return _active_backend
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime; raises if the backend is unavailable."""
-    global _active_backend
-    _active_backend = _backend_from_env(name)
+    ``tables`` has shape ``(batch, k, k)`` with entry ``[b, i, j]`` the value
+    of item ``j`` at stage ``i``; ``start`` holds each table's value before
+    the first stage.  Returns the ``batch`` maxima.
+    """
+    batch, k, _ = tables.shape
+    best = np.empty((batch, 1 << k))
+    best[:, 0] = start
+    for stage, (layer, items, preds) in enumerate(_subset_layers(k)):
+        entries = tables[:, stage, :][:, items]
+        folds = best[:, preds] * entries if use_product else best[:, preds] + entries
+        best[:, layer] = folds.max(axis=2)
+    return best[:, -1]
 
 
 def best_permutation(stage_item: np.ndarray, use_product: bool) -> tuple[float, np.ndarray]:
     """Maximize sum (or product) of one entry per row of an n-by-n value table.
 
-    Enumerates all n! column permutations in lexicographic order and keeps
-    the first maximizer, so ties resolve to the lexicographically smallest
-    permutation.  Returns ``(best_value, best_permutation)``.
+    Entry ``(i, j)`` is item ``j``'s value at stage ``i``; entries must be
+    non-negative.  Values are folded stage by stage, as an enumeration of
+    all n! orders would fold them, and ties resolve to the lexicographically
+    smallest permutation.  Returns ``(best_value, best_permutation)``.
     """
     table = np.ascontiguousarray(stage_item, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
         raise ValueError(f"stage_item must be a non-empty square matrix, got shape {table.shape}")
-    if _active_backend == "numba":
-        value, perm = _best_permutation_numba(table, use_product)
-        return float(value), perm
-    return _best_permutation_numpy(table, use_product)
+    if np.any(table < 0.0):
+        raise ValueError("stage_item entries must be non-negative")
+    n = table.shape[0]
+    value = 1.0 if use_product else 0.0
+    target = _best_folds(table[None], np.array([value]), use_product)[0]
+    # Rebuild greedily: at each stage serve the smallest remaining item from
+    # which the rest can still reach the target, folding from the actual
+    # prefix value (which may sit below the best fold of the prefix set).
+    remaining = np.arange(n, dtype=np.int64)
+    perm = np.empty(n, dtype=np.int64)
+    for stage in range(n):
+        m = remaining.size
+        entries = table[stage, remaining]
+        starts = entries * value if use_product else entries + value
+        # row r: the items left after serving remaining[r] now
+        rest = np.broadcast_to(remaining, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+        tails = table[stage + 1 :][:, rest].transpose(1, 0, 2)
+        pick = int(np.argmax(_best_folds(tails, starts, use_product) == target))
+        perm[stage] = remaining[pick]
+        remaining = np.delete(remaining, pick)
+        value = starts[pick]
+    return float(target), perm
 
 
 def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray, descending: bool) -> int:
@@ -216,6 +109,7 @@ def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray, descending:
         raise ValueError(f"draws must be two-dimensional, got shape {mat.shape}")
     if thr.ndim != 1 or thr.size != mat.shape[1]:
         raise ValueError(f"thresholds must have length {mat.shape[1]}, got shape {thr.shape}")
-    if _active_backend == "numba":
-        return int(_count_positive_trials_numba(mat, thr, descending))
-    return _count_positive_trials_numpy(mat, thr, descending)
+    s = np.sort(mat, axis=1)
+    if descending:
+        s = s[:, ::-1]
+    return int(np.all(s > thr, axis=1).sum())

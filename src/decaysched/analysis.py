@@ -71,7 +71,7 @@ class PopulationModel:
     decay_step: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if not (0.0 <= self.low < self.high <= 1.0):
             raise ValueError(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,7 +100,14 @@ class ScenarioConfig:
 def _require_number(value: object, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field_name} must be a number, got {value!r}")
-    return float(value)
+    # json reads NaN, Infinity and integers too large for a float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{field_name} must be a finite number, got {number}")
+    return number
 
 
 def parse_scenario(text: str) -> ScenarioConfig:

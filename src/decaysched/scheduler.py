@@ -46,7 +46,8 @@ __all__ = [
     "recommended_order",
 ]
 
-# n! evaluations; 10! ~ 3.6M keeps exhaustive search interactive
+# the exact subset search costs O(n^2 * 2^n); raising this cap changes the
+# public contract (its error text names the limit)
 BRUTE_FORCE_MAX_ITEMS = 10
 
 OrderDirection = Literal["ascending", "descending"]
@@ -131,11 +132,12 @@ def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
 
 
 def brute_force_optimal(p0, decay: DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:
-    """Exhaustively maximize the objective over all n! service orders.
+    """Exactly maximize the objective over all n! service orders.
 
-    Returns ``(order, value)``.  Permutations are enumerated in lexicographic
-    order and the first maximizer wins, so ties resolve deterministically to
-    the lexicographically smallest order.  Limited to n <= 10.
+    Returns ``(order, value)``.  The search is a dynamic programme over
+    subsets of served items (see ``_kernels.best_permutation``); its value is
+    bit-identical to enumerating every order, and ties resolve to the
+    lexicographically smallest order.  Limited to n <= 10.
     """
     pv = as_probability_vector(p0)
     objective = Objective(objective)

@@ -29,6 +29,8 @@ class TestPopulationModel:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="positive integer"):
             PopulationModel(n=0, low=0.0, high=1.0, decay_step=0.1)
+        with pytest.raises(ValueError, match="positive integer"):
+            PopulationModel(n=True, low=0.0, high=1.0, decay_step=0.1)
 
     @pytest.mark.parametrize(
         "low,high", [(0.5, 0.5), (0.7, 0.5), (-0.1, 0.5), (0.5, 1.1)]

@@ -83,6 +83,27 @@ class TestParseScenario:
         with pytest.raises(ValueError, match=r"decay\.rate must be a number"):
             parse_scenario('{"probabilities": [0.5], "decay": {"type": "additive", "rate": "x"}}')
 
+    @pytest.mark.parametrize(
+        "document,field",
+        [
+            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
+             ' "interval": Infinity}', "interval"),
+            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": NaN}}', r"decay\.rate"),
+            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1e999}}', r"decay\.rate"),
+            ('{"probabilities": [NaN], "decay": {"type": "additive", "rate": 0.1}}',
+             r"probabilities\[0\]"),
+            ('{"probabilities": [0.5], "decay": {"type": "multiplicative", "factor": -Infinity}}',
+             r"decay\.factor"),
+            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1' + "0" * 400 + "}}",
+             r"decay\.rate"),
+        ],
+        ids=["interval-inf", "rate-nan", "rate-overflow", "probability-nan", "factor-minus-inf",
+             "rate-huge-int"],
+    )
+    def test_rejects_non_finite_numbers(self, document, field):
+        with pytest.raises(ValueError, match=field + " must be a finite number"):
+            parse_scenario(document)
+
     def test_rejects_malformed_documents(self):
         with pytest.raises(ValueError, match="not valid JSON"):
             parse_scenario("{nope")
@@ -343,6 +364,16 @@ class TestCliEvaluate:
         code, _, err = run_cli(["evaluate", "--scenario", "/does/not/exist.json"], capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_infinite_interval_is_a_validation_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1}, "interval": Infinity}'
+        )
+        code, out, err = run_cli(["evaluate", "--scenario", str(scenario)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "interval must be a finite number" in err
 
     def test_invalid_scenario_names_the_field(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"

@@ -150,19 +150,19 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="n <= 10"):
             brute_force_optimal(p0, decay, Objective.EXPECTED_SUCCESSES)
 
-    def test_known_all_success_optimum(self, backend):
+    def test_known_all_success_optimum(self):
         order, value = brute_force_optimal(VEC_B, DECAY_01, Objective.PROB_ALL_SUCCESS)
         np.testing.assert_array_equal(order, [2, 3, 0, 1])
         assert abs(value - 0.0036) <= 1e-12
 
-    def test_known_expected_optimum_ties_to_lexicographic(self, backend):
+    def test_known_expected_optimum_ties_to_lexicographic(self):
         # identity and strongest-first tie at 1.6; identity is lexicographically first
         order, value = brute_force_optimal(VEC_B, DECAY_01, Objective.EXPECTED_SUCCESSES)
         np.testing.assert_array_equal(order, [0, 1, 2, 3])
         assert abs(value - 1.6) <= 1e-12
 
     @pytest.mark.parametrize("objective", [Objective.EXPECTED_SUCCESSES, Objective.PROB_ALL_SUCCESS])
-    def test_matches_exhaustive_reference(self, backend, objective):
+    def test_matches_exhaustive_reference(self, objective):
         rng = np.random.default_rng(7)
         for trial in range(12):
             n = int(rng.integers(2, 7))
@@ -213,6 +213,22 @@ class TestOptimalityProperties:
             _, best = brute_force_optimal(p0, decay, Objective.EXPECTED_SUCCESSES)
             desc = evaluate_order(p0, sort_order(p0, "descending"), decay)
             assert abs(desc.expected_successes - best) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("objective", [Objective.EXPECTED_SUCCESSES, Objective.PROB_ALL_SUCCESS])
+    def test_exhaustive_search_at_the_size_cap(self, kind, objective):
+        rng = np.random.default_rng(23)
+        n = BRUTE_FORCE_MAX_ITEMS
+        for _ in range(5):
+            p0 = rng.uniform(0.05, 1.0, n)
+            if kind == "additive":
+                decay = AdditiveDecay.linear(float(rng.uniform(0.0, 0.1)), n)
+            else:
+                decay = MultiplicativeDecay(float(rng.uniform(0.5, 0.99)))
+            _, best = brute_force_optimal(p0, decay, objective)
+            strategy = recommended_order(decay, objective)
+            order = np.arange(n) if strategy == "any" else sort_order(p0, strategy)
+            assert abs(evaluate_order(p0, order, decay).value(objective) - best) <= 1e-12
 
     def test_multiplicative_all_success_is_order_invariant(self):
         rng = np.random.default_rng(17)
