@@ -7,7 +7,8 @@ evaluates service orders (success-count distribution, expected successes,
 all-success probability), finds optimal orders exhaustively or by provably
 optimal sorting strategies, and analyzes populations with uniform random
 initial probabilities (probability that no item decays to zero, by closed
-form, nested quadrature, and Monte Carlo).
+form, an exact order-statistics recursion, and Monte Carlo; a nested
+quadrature, which imports scipy only when called, is kept as an oracle).
 """
 
 from .analysis import (
@@ -20,6 +21,7 @@ from .analysis import (
     positivity_report_montecarlo,
     prob_positive_montecarlo,
     prob_strongest_first_positive,
+    prob_weakest_first_positive,
     prob_weakest_first_positive_quadrature,
     stage_thresholds,
 )
@@ -103,6 +105,7 @@ __all__ = [
     "stage_thresholds",
     "active_thresholds",
     "prob_strongest_first_positive",
+    "prob_weakest_first_positive",
     "prob_weakest_first_positive_quadrature",
     "prob_positive_montecarlo",
     "positivity_report",

@@ -6,22 +6,29 @@ per-stage step ``d``.  The item served at stage ``k`` keeps a strictly
 positive probability iff its initial value exceeds the stage threshold
 ``c_k = d * (k - 1)``.  This module computes the probability that *no* item
 is clamped to zero ("positivity") for the strongest-first and weakest-first
-strategies, by closed form, by order-statistics quadrature, and by seeded
-Monte Carlo.
+strategies: by closed form (strongest-first), by an exact recursion over
+order statistics (weakest-first), and by seeded Monte Carlo (both).
 
 Weakest-first serves the k-th smallest draw at stage k, so positivity is a
-joint constraint on the upper order statistics: only stages whose threshold
-exceeds ``low`` can fail, and those constraints involve the largest few
-draws.  Writing ``m`` for the number of such active stages, the joint
-density of the top ``m`` order statistics ``t_1 <= ... <= t_m`` of ``n``
-uniform draws is
+lower-boundary probability for uniform order statistics: with the draws
+mapped to Uniform(0, 1), ``U_(k) > a_k`` must hold for every active rank
+``k``, where ``a_k = clip((c_k - low) / (high - low), 0, 1)``.  Only stages
+whose threshold exceeds ``low`` can fail; ``m`` denotes their number.
+``prob_weakest_first_positive`` computes it exactly for any ``m`` by the
+all-positive recursion of Noe (1972, *Ann. Math. Statist.* 43(1):58-64) in
+the Poisson form of Moscovich & Nadler (2017, *Stat. Probab. Lett.*
+123:177-182).
+
+``prob_weakest_first_positive_quadrature`` is the independent oracle: it
+integrates the joint density of the top ``m`` order statistics
+``t_1 <= ... <= t_m`` of ``n`` uniform draws,
 
     n!/(n-m)! * F(t_1)**(n-m) * prod_j f(t_j)
 
-with ``F``/``f`` the Uniform(low, high) cdf/pdf, and positivity is its
-integral over the box-truncated simplex where each ``t_j`` exceeds its
-stage threshold.  That integral is evaluated as nested one-dimensional
-adaptive quadratures, innermost variable first.
+with ``F``/``f`` the Uniform(low, high) cdf/pdf, over the box-truncated
+simplex where each ``t_j`` exceeds its stage threshold, as nested
+one-dimensional adaptive quadratures, innermost variable first.  It imports
+scipy when called, so importing this module does not.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _kernels
 
@@ -42,6 +48,7 @@ __all__ = [
     "stage_thresholds",
     "active_thresholds",
     "prob_strongest_first_positive",
+    "prob_weakest_first_positive",
     "prob_weakest_first_positive_quadrature",
     "prob_positive_montecarlo",
     "positivity_report",
@@ -53,12 +60,21 @@ MAX_QUADRATURE_DIMENSION = 6
 
 _QUAD_EPSABS = 1e-9
 
+# recursion terms below this are dropped: the product of two kept terms is
+# a normal float (subnormal arithmetic costs many times a normal one), and
+# the result moves by less than 1e-140 for n up to 10**4
+_FLUSH_BELOW = 2.0**-511
+
 # trials per Monte Carlo block: 2**18 rows keeps peak memory ~n * 2MB
 _MC_CHUNK = 262_144
 
 
 class QuadratureDimensionError(ValueError):
-    """Too many active thresholds for nested quadrature; use Monte Carlo."""
+    """Too many active thresholds for the nested-quadrature oracle.
+
+    Raised only by ``prob_weakest_first_positive_quadrature``;
+    ``prob_weakest_first_positive`` has no such limit.
+    """
 
 
 @dataclass(frozen=True)
@@ -86,7 +102,7 @@ class PositivityReport:
     """Positivity probabilities for both strategies.
 
     ``method`` records how the weakest-first value was obtained ("analytic"
-    when no threshold is active and both values are exactly 1, "quadrature"
+    when no threshold is active and both values are exactly 1, "recursion"
     otherwise, "montecarlo" when simulated); the strongest-first value is
     closed form whenever the method is deterministic.  ``std_error`` is zero
     for deterministic methods and the larger of the two per-strategy binomial
@@ -103,7 +119,7 @@ class PositivityReport:
             raise ValueError("prob_strongest_first_positive must be in [0, 1]")
         if not (0.0 <= self.prob_weakest_first_positive <= 1.0):
             raise ValueError("prob_weakest_first_positive must be in [0, 1]")
-        if self.method not in ("analytic", "quadrature", "montecarlo"):
+        if self.method not in ("analytic", "recursion", "montecarlo"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.std_error < 0.0:
             raise ValueError("std_error must be >= 0")
@@ -145,6 +161,65 @@ def prob_strongest_first_positive(model: PopulationModel) -> float:
     return q**model.n
 
 
+def prob_weakest_first_positive(model: PopulationModel) -> float:
+    """Exact positivity probability for weakest-first service, for any n.
+
+    ``U_(k) > a_k`` holds iff fewer than ``k`` of the ``n`` mapped draws lie
+    at or below ``a_k``, so the recursion walks the active boundaries in
+    order carrying the distribution of ``c``, the count at or below the
+    previous boundary, and drops every count ``>= k`` at rank ``k``.  For
+    ``n`` uniform points the ``n - c`` points above ``a_prev`` fall below
+    ``a_k`` as Binomial(n - c, (a_k - a_prev) / (1 - a_prev)).  The same
+    step is computed for a Poisson(n) number of points, where the count in
+    each slab between boundaries is Poisson(n * (a_k - a_prev)) whatever
+    ``c`` is, so each step is one convolution; conditioning on exactly
+    ``n`` points at the end recovers the uniform result.  Every term is a
+    non-negative product, so nothing cancels: the result agrees with the
+    same recursion in 40-digit arithmetic within 5e-14 relative for n up to
+    200.  Terms below ``_FLUSH_BELOW`` are dropped, which moves the
+    result by less than 1e-140.
+
+    Cost: at most about n**2 * min(n / 3, 130) multiply-adds, because each
+    Poisson pmf is cut where it falls below ``_FLUSH_BELOW``.  On one
+    x86-64 core: about 0.15 ms on the reference model, and with every
+    stage active 5 ms at n = 200, 0.14 s at n = 2000 and 4 s at n = 10**4.
+    """
+    active = active_thresholds(model)
+    if not active:
+        return 1.0
+    n = model.n
+    thresholds = np.array([t for _, t in active])
+    bounds = np.clip((thresholds - model.low) / (model.high - model.low), 0.0, 1.0)
+    if bounds[-1] >= 1.0:
+        # every draw lies at or below the last boundary, so that rank fails
+        return 0.0
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+    def log_poisson(width: float, size: int) -> np.ndarray:
+        """Log pmf at 0..size-1 of the Poisson(n) count in a slab of ``width``."""
+        if width == 0.0:
+            return np.where(np.arange(size) == 0, 0.0, -np.inf)
+        mean = n * width
+        return np.arange(size) * math.log(mean) - mean - log_factorial[:size]
+
+    def flushed(values: np.ndarray) -> np.ndarray:
+        """``values`` with entries below ``_FLUSH_BELOW`` zeroed and trailing zeros cut."""
+        values = np.where(values >= _FLUSH_BELOW, values, 0.0)
+        return values[: np.flatnonzero(values).max(initial=0) + 1]
+
+    weights = np.ones(1)  # P(c points at or below the previous boundary, no rank failed)
+    previous = 0.0
+    for (rank, _), bound in zip(active, bounds):
+        pmf = flushed(np.exp(log_poisson(bound - previous, rank)))
+        weights = flushed(np.convolve(weights, pmf)[:rank])
+        previous = bound
+    # the other n - c points lie above the last boundary; dividing by
+    # P(Poisson(n) = n) conditions on exactly n points in all
+    above = log_poisson(1.0 - previous, n + 1)[::-1][: weights.size]
+    value = weights @ np.exp(above - log_poisson(1.0, n + 1)[n])
+    return float(min(max(value, 0.0), 1.0))
+
+
 def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
     """Positivity probability for weakest-first service via nested quadrature.
 
@@ -154,6 +229,9 @@ def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
     per-axis absolute tolerance 1e-9.  Raises QuadratureDimensionError when
     more than MAX_QUADRATURE_DIMENSION thresholds are active.
     """
+    # scipy costs most of the package's import time and only this oracle uses it
+    from scipy.integrate import quad
+
     active = active_thresholds(model)
     m = len(active)
     if m == 0:
@@ -186,6 +264,35 @@ def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
     return float(min(max(layer(m - 1, b), 0.0), 1.0))
 
 
+def _simulate(
+    model: PopulationModel, trials: int, seed: int
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Monte Carlo ``(estimate, std_error)`` for ascending, then descending service.
+
+    Each chunk of draws is drawn and sorted once and counted for both
+    orders, so the two estimates are paired on one seeded stream.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    thresholds = stage_thresholds(model)
+    rng = np.random.default_rng(seed)
+    ascending = descending = 0
+    remaining = trials
+    while remaining > 0:
+        chunk = min(remaining, _MC_CHUNK)
+        draws = rng.uniform(model.low, model.high, size=(chunk, model.n))
+        up, down = _kernels.count_positive_trials(draws, thresholds)
+        ascending += up
+        descending += down
+        remaining -= chunk
+
+    def estimate(hits: int) -> tuple[float, float]:
+        p = hits / trials
+        return p, math.sqrt(p * (1.0 - p) / trials)
+
+    return estimate(ascending), estimate(descending)
+
+
 def prob_positive_montecarlo(
     model: PopulationModel, strategy: str, trials: int, seed: int
 ) -> tuple[float, float]:
@@ -200,36 +307,22 @@ def prob_positive_montecarlo(
     """
     if strategy not in ("ascending", "descending"):
         raise ValueError(f"strategy must be 'ascending' or 'descending', got {strategy!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    thresholds = stage_thresholds(model)
-    descending = strategy == "descending"
-    rng = np.random.default_rng(seed)
-    hits = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(remaining, _MC_CHUNK)
-        draws = rng.uniform(model.low, model.high, size=(chunk, model.n))
-        hits += _kernels.count_positive_trials(draws, thresholds, descending)
-        remaining -= chunk
-    estimate = hits / trials
-    std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
-    return estimate, std_error
+    weakest, strongest = _simulate(model, trials, seed)
+    return strongest if strategy == "descending" else weakest
 
 
 def positivity_report(model: PopulationModel) -> PositivityReport:
-    """Deterministic report: closed-form strongest-first, quadrature weakest-first."""
+    """Deterministic report: closed-form strongest-first, exact recursion weakest-first."""
     strongest = prob_strongest_first_positive(model)
     if not active_thresholds(model):
         return PositivityReport(strongest, 1.0, method="analytic")
-    weakest = prob_weakest_first_positive_quadrature(model)
-    return PositivityReport(strongest, weakest, method="quadrature")
+    weakest = prob_weakest_first_positive(model)
+    return PositivityReport(strongest, weakest, method="recursion")
 
 
 def positivity_report_montecarlo(
     model: PopulationModel, trials: int, seed: int
 ) -> PositivityReport:
-    """Simulated report; both strategies reuse the same seed (paired draws)."""
-    est_w, se_w = prob_positive_montecarlo(model, "ascending", trials, seed)
-    est_s, se_s = prob_positive_montecarlo(model, "descending", trials, seed)
+    """Simulated report; both strategies are counted on the same draws."""
+    (est_w, se_w), (est_s, se_s) = _simulate(model, trials, seed)
     return PositivityReport(est_s, est_w, method="montecarlo", std_error=max(se_s, se_w))

@@ -17,7 +17,8 @@ multiplicative decay.  All item indices on the command line are 0-based.
 
 Subcommands: ``evaluate`` (metrics for one order), ``optimize`` (exhaustive
 or sorted-order search), ``simulate`` (Monte Carlo positivity for both
-service strategies), ``positivity`` (closed-form + quadrature report), and
+service strategies), ``positivity`` (closed form for strongest-first, exact
+recursion for weakest-first), and
 ``figure`` (stage-by-item probability matrix as CSV and/or an SVG heatmap).
 Every subcommand accepts ``--format structured`` for canonical JSON output
 (sorted keys, compact separators) that is byte-identical across runs for
@@ -411,8 +412,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _population(args)
-    est_w, se_w = analysis.prob_positive_montecarlo(model, "ascending", args.trials, args.seed)
-    est_s, se_s = analysis.prob_positive_montecarlo(model, "descending", args.trials, args.seed)
+    (est_w, se_w), (est_s, se_s) = analysis._simulate(model, args.trials, args.seed)
     _emit(
         {
             "n": model.n,
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_pos = sub.add_parser(
-        "positivity", help="deterministic positivity report (closed form + quadrature)"
+        "positivity", help="exact positivity report (closed form + recursion)"
     )
     _add_population_flags(p_pos)
     _add_format_flag(p_pos)

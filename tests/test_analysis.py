@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, tplquad
 
 import decaysched.analysis as analysis
@@ -13,6 +15,7 @@ from decaysched import (
     positivity_report_montecarlo,
     prob_positive_montecarlo,
     prob_strongest_first_positive,
+    prob_weakest_first_positive,
     prob_weakest_first_positive_quadrature,
     stage_thresholds,
 )
@@ -162,6 +165,114 @@ class TestWeakestFirstQuadrature:
         assert abs(est - exact) <= 5.0 * se
 
 
+@st.composite
+def few_threshold_models(draw):
+    """Population models with at most three active thresholds and n <= 40."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(m + 1, 40))
+    low = draw(st.floats(0.0, 0.9))
+    high = draw(st.floats(low + 0.01, 1.0))
+    # a step in (lo, hi] puts exactly the top m stage thresholds above low
+    lo = low / (n - m) if m else 0.0
+    hi = low / (n - m - 1) if n - m - 1 else lo + high
+    step = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    model = PopulationModel(n=n, low=low, high=high, decay_step=step)
+    assume(len(active_thresholds(model)) == m)  # rounding at the band edges
+    return model
+
+
+class TestWeakestFirstRecursion:
+    def test_no_active_thresholds_returns_one(self):
+        model = PopulationModel(n=5, low=0.5, high=1.0, decay_step=0.05)
+        assert active_thresholds(model) == []
+        assert prob_weakest_first_positive(model) == 1.0
+
+    @pytest.mark.parametrize("step", [0.5, 0.6])
+    def test_last_threshold_at_or_above_high_returns_zero(self, step):
+        # the last threshold is 2 * step >= high: the largest draw never clears it
+        model = PopulationModel(n=3, low=0.5, high=1.0, decay_step=step)
+        assert prob_weakest_first_positive(model) == 0.0
+
+    def test_single_active_threshold_matches_closed_form(self):
+        model = PopulationModel(n=3, low=0.5, high=1.0, decay_step=0.3)
+        assert prob_weakest_first_positive(model) == pytest.approx(1.0 - 0.2**3, abs=1e-14)
+
+    def test_two_item_half_decay(self):
+        model = PopulationModel(n=2, low=0.0, high=1.0, decay_step=0.5)
+        assert prob_weakest_first_positive(model) == pytest.approx(0.75, abs=1e-14)
+
+    def test_two_active_thresholds_match_independent_double_integral(self):
+        model = PopulationModel(n=4, low=0.4, high=1.0, decay_step=0.22)
+        w = 0.6
+        ref, _ = dblquad(
+            lambda y, x: 12.0 * ((y - 0.4) / w) ** 2 / w / w,
+            0.66, 1.0,
+            lambda x: 0.44, lambda x: x,
+        )
+        assert prob_weakest_first_positive(model) == pytest.approx(ref, abs=1e-7)
+
+    def test_three_active_thresholds_match_independent_triple_integral(self):
+        model = PopulationModel(n=5, low=0.3, high=1.0, decay_step=0.17)
+        w = 0.7
+        ref, _ = tplquad(
+            lambda z, y, x: 60.0 * ((z - 0.3) / w) ** 2 / w**3,
+            0.68, 1.0,
+            lambda x: 0.51, lambda x: x,
+            lambda x, y: 0.34, lambda x, y: y,
+        )
+        assert prob_weakest_first_positive(model) == pytest.approx(ref, abs=1e-7)
+
+    # near-certain models make quad warn of roundoff; agreement is still checked
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(few_threshold_models())
+    def test_matches_quadrature_up_to_three_thresholds(self, model):
+        exact = prob_weakest_first_positive(model)
+        assert exact == pytest.approx(prob_weakest_first_positive_quadrature(model), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "model",
+        [REFERENCE_MODEL, PopulationModel(n=6, low=0.0, high=1.0, decay_step=0.16)],
+        ids=["m4-reference", "m5"],
+    )
+    def test_matches_quadrature_at_four_and_five_thresholds(self, model):
+        exact = prob_weakest_first_positive(model)
+        assert exact == pytest.approx(prob_weakest_first_positive_quadrature(model), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "model,trials",
+        [
+            (PopulationModel(n=20, low=0.3, high=0.9, decay_step=0.04), 200_000),
+            (PopulationModel(n=200, low=0.0, high=1.0, decay_step=0.004), 20_000),
+        ],
+        ids=["m12", "n200"],
+    )
+    def test_beyond_quadrature_agrees_with_montecarlo(self, model, trials):
+        assert len(active_thresholds(model)) > MAX_QUADRATURE_DIMENSION
+        exact = prob_weakest_first_positive(model)
+        est, se = prob_positive_montecarlo(model, "ascending", trials, 31)
+        assert 0.0 < se
+        assert abs(est - exact) <= 5.0 * se
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.floats(0.0, 0.9),
+        st.floats(0.01, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_non_increasing_in_decay_step(self, n, low, high_frac, u, v):
+        high = low + high_frac * (1.0 - low)
+        assume(high > low)
+        top = 1.2 * high / max(n - 1, 1)
+        smaller, larger = sorted((u * top, v * top))
+        value = lambda step: prob_weakest_first_positive(
+            PopulationModel(n=n, low=low, high=high, decay_step=step)
+        )
+        assert value(larger) <= value(smaller) + 1e-12
+
+
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
         a = prob_positive_montecarlo(REFERENCE_MODEL, "ascending", 20_000, 123)
@@ -202,9 +313,9 @@ class TestMonteCarlo:
 
 
 class TestPositivityReport:
-    def test_reference_model_uses_quadrature(self):
+    def test_reference_model_uses_recursion(self):
         report = positivity_report(REFERENCE_MODEL)
-        assert report.method == "quadrature"
+        assert report.method == "recursion"
         assert report.std_error == 0.0
         assert report.prob_strongest_first_positive == 0.56**13
         assert report.prob_weakest_first_positive == pytest.approx(0.9999677, abs=1e-5)
@@ -232,22 +343,22 @@ class TestPositivityReport:
         with pytest.raises(ValueError, match="must be in"):
             PositivityReport(1.5, 0.5, method="analytic")
         with pytest.raises(ValueError, match="std_error"):
-            PositivityReport(0.5, 0.5, method="quadrature", std_error=0.1)
+            PositivityReport(0.5, 0.5, method="recursion", std_error=0.1)
         with pytest.raises(ValueError, match="std_error"):
             PositivityReport(0.5, 0.5, method="montecarlo", std_error=-0.1)
 
 
-def _random_models(seed, count, max_active):
-    """Random valid population models whose active-threshold count stays small."""
+def _random_models(seed, count, max_active, min_active=0, max_n=8):
+    """Random valid population models whose active-threshold count is bounded."""
     rng = np.random.default_rng(seed)
     models = []
     while len(models) < count:
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(2, max_n + 1))
         low = float(rng.uniform(0.0, 0.7))
         high = float(rng.uniform(low + 0.1, 1.0))
         step = float(rng.uniform(0.0, 1.2 * high / (n - 1)))
         model = PopulationModel(n=n, low=low, high=high, decay_step=step)
-        if len(active_thresholds(model)) <= max_active:
+        if min_active <= len(active_thresholds(model)) <= max_active:
             models.append(model)
     return models
 
@@ -271,3 +382,28 @@ class TestRandomModelInvariants:
                     continue
                 est, se = prob_positive_montecarlo(model, strategy, trials, seed=9000 + i)
                 assert abs(est - expected) <= 4.0 * se + 1e-9
+
+    def test_recursion_dominates_strongest_first(self):
+        for model in _random_models(20250819, 40, max_active=40, max_n=40):
+            weakest = prob_weakest_first_positive(model)
+            assert weakest + 1e-12 >= prob_strongest_first_positive(model)
+
+    def test_recursion_matches_quadrature(self):
+        for model in _random_models(20250819, 12, max_active=4):
+            exact = prob_weakest_first_positive(model)
+            assert exact == pytest.approx(prob_weakest_first_positive_quadrature(model), abs=1e-9)
+
+    def test_recursion_agrees_with_montecarlo_beyond_quadrature(self):
+        # keep models whose answer is neither near 0 nor near 1, where a
+        # Monte Carlo estimate can tell a wrong value apart
+        models = [
+            model
+            for model in _random_models(555, 200, max_active=40,
+                                        min_active=MAX_QUADRATURE_DIMENSION + 1, max_n=40)
+            if 0.05 <= prob_weakest_first_positive(model) <= 0.95
+        ][:3]
+        assert len(models) == 3
+        for i, model in enumerate(models):
+            expected = prob_weakest_first_positive(model)
+            est, se = prob_positive_montecarlo(model, "ascending", 200_000, seed=9000 + i)
+            assert abs(est - expected) <= 4.0 * se + 1e-9

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from decaysched import (
     FigureMatrix,
     MultiplicativeDecay,
     Objective,
+    PopulationModel,
     ProbabilityVector,
     ScenarioConfig,
     evaluate_order,
@@ -20,10 +24,12 @@ from decaysched import (
     generate_figure_matrix,
     parse_scenario,
     prob_all_success,
+    prob_weakest_first_positive,
     serialize_scenario,
     sort_order,
     stage_probabilities,
 )
+import decaysched
 from decaysched.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -497,7 +503,7 @@ class TestCliSimulateAndPositivity:
         code, out, _ = run_cli(["positivity", "--format", "structured"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "quadrature"
+        assert payload["method"] == "recursion"
         assert payload["strongest_first"] == 0.56**13
         assert payload["weakest_first"] == pytest.approx(0.9999677, abs=1e-5)
 
@@ -507,12 +513,18 @@ class TestCliSimulateAndPositivity:
         assert "strongest_first: 0.0005326529677" in out
         assert "weakest_first: 0.9999677218" in out
 
-    def test_positivity_dimension_error_is_validation(self, capsys):
-        code, _, err = run_cli(
-            ["positivity", "--n", "8", "--decay", "0.05", "--low", "0", "--high", "1"], capsys
+    def test_positivity_beyond_quadrature_dimension(self, capsys):
+        # 7 active thresholds, past the quadrature oracle's limit of 6
+        code, out, _ = run_cli(
+            ["positivity", "--n", "8", "--decay", "0.05", "--low", "0", "--high", "1",
+             "--format", "structured"],
+            capsys,
         )
-        assert code == 2
-        assert "montecarlo" in err
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "recursion"
+        model = PopulationModel(n=8, low=0.0, high=1.0, decay_step=0.05)
+        assert payload["weakest_first"] == prob_weakest_first_positive(model)
 
     def test_positivity_bad_bounds(self, capsys):
         code, _, err = run_cli(["positivity", "--low", "0.9", "--high", "0.5"], capsys)
@@ -581,3 +593,38 @@ class TestCliPlumbing:
         code, _, err = run_cli(["positivity"], capsys)
         assert code == 1
         assert "internal error" in err
+
+
+class TestImportCost:
+    def test_no_subcommand_imports_scipy(self, tmp_path):
+        # scipy is most of the import time; only the quadrature oracle needs it
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(SCENARIO_A)
+        script = f"""
+import json, sys
+import decaysched
+from decaysched.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {{"import": scipy_modules()}}
+for argv in (["positivity"], ["simulate", "--trials", "1000"],
+             ["evaluate", "--scenario", {str(scenario)!r}],
+             ["optimize", "--scenario", {str(scenario)!r}], ["figure", "--n", "4"]):
+    assert main(argv) == 0
+    seen[argv[0]] = scipy_modules()
+print(json.dumps(seen))
+"""
+        src = str(Path(decaysched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert set(seen) == {"import", "positivity", "simulate", "evaluate", "optimize", "figure"}
+        assert seen == dict.fromkeys(seen, [])
