@@ -96,16 +96,13 @@ def best_permutation(stage_item: np.ndarray, use_product: bool) -> tuple[float, 
     return float(target), perm
 
 
-def count_positive_trials(
-    draws: np.ndarray, thresholds: np.ndarray, descending: bool | None = None
-) -> int | tuple[int, int]:
+def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[int, int]:
     """Count rows whose sorted values strictly exceed per-stage thresholds.
 
-    Each row is sorted once and served ascending or descending; stage ``k``
-    compares the k-th served value against ``thresholds[k]``, and a row
-    counts only if every comparison is strictly greater.  Returns the count
-    for the order ``descending`` selects or, when it is None, the counts for
-    both orders as ``(ascending, descending)``.
+    Each row is sorted once and served both ascending and descending; stage
+    ``k`` compares the k-th served value against ``thresholds[k]``, and a row
+    counts only if every comparison is strictly greater.  Returns the counts
+    for both orders as ``(ascending, descending)``.
     """
     mat = np.ascontiguousarray(draws, dtype=np.float64)
     thr = np.ascontiguousarray(thresholds, dtype=np.float64)
@@ -114,5 +111,4 @@ def count_positive_trials(
     if thr.ndim != 1 or thr.size != mat.shape[1]:
         raise ValueError(f"thresholds must have length {mat.shape[1]}, got shape {thr.shape}")
     s = np.sort(mat, axis=1)
-    counts = (int(np.all(s > thr, axis=1).sum()), int(np.all(s[:, ::-1] > thr, axis=1).sum()))
-    return counts if descending is None else counts[descending]
+    return int(np.all(s > thr, axis=1).sum()), int(np.all(s[:, ::-1] > thr, axis=1).sum())

@@ -216,7 +216,7 @@ def prob_weakest_first_positive(model: PopulationModel) -> float:
     # the other n - c points lie above the last boundary; dividing by
     # P(Poisson(n) = n) conditions on exactly n points in all
     above = log_poisson(1.0 - previous, n + 1)[::-1][: weights.size]
-    value = weights @ np.exp(above - log_poisson(1.0, n + 1)[n])
+    value = weights @ np.exp(above - (n * math.log(n) - n - log_factorial[n]))
     return float(min(max(value, 0.0), 1.0))
 
 

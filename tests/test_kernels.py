@@ -114,7 +114,7 @@ class TestCountPositiveTrials:
             ]
         )
         thresholds = np.array([0.5, 0.65])
-        assert count_positive_trials(draws, thresholds, descending=False) == 3
+        assert count_positive_trials(draws, thresholds)[0] == 3
 
     def test_hand_checked_rows_descending(self):
         draws = np.array(
@@ -124,21 +124,21 @@ class TestCountPositiveTrials:
             ]
         )
         thresholds = np.array([0.5, 0.65])
-        assert count_positive_trials(draws, thresholds, descending=True) == 1
+        assert count_positive_trials(draws, thresholds)[1] == 1
 
     def test_threshold_equality_does_not_count(self):
         # comparisons are strict: landing exactly on a threshold fails
         draws = np.array([[0.5, 0.8]])
-        assert count_positive_trials(draws, np.array([0.5, 0.6]), descending=False) == 0
-        assert count_positive_trials(draws, np.array([0.4, 0.8]), descending=False) == 0
+        assert count_positive_trials(draws, np.array([0.5, 0.6]))[0] == 0
+        assert count_positive_trials(draws, np.array([0.4, 0.8]))[0] == 0
 
     def test_zero_thresholds_count_everything_positive(self):
         rng = np.random.default_rng(5)
         draws = rng.uniform(0.1, 1.0, size=(50, 4))
-        assert count_positive_trials(draws, np.zeros(4), descending=False) == 50
+        assert count_positive_trials(draws, np.zeros(4))[0] == 50
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="two-dimensional"):
-            count_positive_trials(np.zeros(3), np.zeros(3), descending=False)
+            count_positive_trials(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="thresholds"):
-            count_positive_trials(np.zeros((2, 3)), np.zeros(2), descending=False)
+            count_positive_trials(np.zeros((2, 3)), np.zeros(2))
