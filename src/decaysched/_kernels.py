@@ -11,6 +11,11 @@ stage, exactly as an enumeration would, and both ``x + c`` and ``x * c``
 (for ``c >= 0``) round monotonically in ``x``, so the best fold of a subset
 extends to the best fold of its supersets and the optimum is bit-identical
 to the enumeration's.
+
+The counter sorts each block of trials once and compares only the live
+stages, those whose threshold is at or above the block's smallest draw:
+a stage below it cannot fail.  With the default population (13 items on
+(0.5, 1.0), step 0.06) that is 4 of 13 stages.
 """
 
 from __future__ import annotations
@@ -103,6 +108,13 @@ def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[in
     ``k`` compares the k-th served value against ``thresholds[k]``, and a row
     counts only if every comparison is strictly greater.  Returns the counts
     for both orders as ``(ascending, descending)``.
+
+    Only the stages from the first live one on are compared, where a stage
+    is live when its threshold is at or above the smallest draw: every
+    served value is at least that draw, so a stage below it passes in every
+    row.  For non-decreasing thresholds the compared stages are exactly the
+    live ones.  Draws and thresholds must not be NaN; an infinite threshold
+    is live and fails every row.
     """
     mat = np.ascontiguousarray(draws, dtype=np.float64)
     thr = np.ascontiguousarray(thresholds, dtype=np.float64)
@@ -110,5 +122,18 @@ def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[in
         raise ValueError(f"draws must be two-dimensional, got shape {mat.shape}")
     if thr.ndim != 1 or thr.size != mat.shape[1]:
         raise ValueError(f"thresholds must have length {mat.shape[1]}, got shape {thr.shape}")
+    rows, n = mat.shape
+    if mat.size == 0:
+        # no stage can fail in an empty row, and no row means no count
+        return rows, rows
     s = np.sort(mat, axis=1)
-    return int(np.all(s > thr, axis=1).sum()), int(np.all(s[:, ::-1] > thr, axis=1).sum())
+    live = np.flatnonzero(thr >= s[:, 0].min())
+    first = int(live[0]) if live.size else n
+    # np.all folds each short row slowly, so with many rows per compared
+    # stage lay the comparison out stage by stage (the measured crossover
+    # is near four rows per stage)
+    order = "F" if rows > 4 * (n - first) else "C"
+    # descending serves column j at stage n - 1 - j
+    ascending = np.greater(s[:, first:], thr[first:], order=order).all(axis=1)
+    descending = np.greater(s[:, : n - first], thr[::-1][: n - first], order=order).all(axis=1)
+    return int(ascending.sum()), int(descending.sum())

@@ -65,8 +65,10 @@ _QUAD_EPSABS = 1e-9
 # the result moves by less than 1e-140 for n up to 10**4
 _FLUSH_BELOW = 2.0**-511
 
-# trials per Monte Carlo block: 2**18 rows keeps peak memory ~n * 2MB
-_MC_CHUNK = 262_144
+# draws per Monte Carlo block: 2**16 float64 values (512 kB) stay in cache
+# and bound peak memory whatever n and trials are; a block holds
+# max(1, _MC_ELEMENTS // n) rows, and the stream does not depend on it
+_MC_ELEMENTS = 65_536
 
 
 class QuadratureDimensionError(ValueError):
@@ -93,8 +95,8 @@ class PopulationModel:
             raise ValueError(
                 f"bounds must satisfy 0 <= low < high <= 1, got low={self.low} high={self.high}"
             )
-        if not self.decay_step >= 0.0:
-            raise ValueError(f"decay_step must be >= 0, got {self.decay_step}")
+        if not (math.isfinite(self.decay_step) and self.decay_step >= 0.0):
+            raise ValueError(f"decay_step must be a finite number >= 0, got {self.decay_step}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,12 @@ class PositivityReport:
 
 
 def stage_thresholds(model: PopulationModel) -> np.ndarray:
-    """Minimum initial probability to stay positive at stage k: ``d * (k - 1)``."""
-    return model.decay_step * np.arange(model.n, dtype=np.float64)
+    """Minimum initial probability to stay positive at stage k: ``d * (k - 1)``.
+
+    A product too large for a float is ``inf``, a threshold no draw clears.
+    """
+    with np.errstate(over="ignore"):
+        return model.decay_step * np.arange(model.n, dtype=np.float64)
 
 
 def active_thresholds(model: PopulationModel) -> list[tuple[int, float]]:
@@ -155,7 +161,7 @@ def prob_strongest_first_positive(model: PopulationModel) -> float:
     """
     c = stage_thresholds(model)
     # non-decreasing thresholds are what makes the min-only criterion exact
-    assert (np.diff(c) >= 0.0).all()
+    assert (c[1:] >= c[:-1]).all()
     q = (model.high - float(c[-1])) / (model.high - model.low)
     q = min(max(q, 0.0), 1.0)
     return q**model.n
@@ -189,7 +195,8 @@ def prob_weakest_first_positive(model: PopulationModel) -> float:
         return 1.0
     n = model.n
     thresholds = np.array([t for _, t in active])
-    bounds = np.clip((thresholds - model.low) / (model.high - model.low), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a huge threshold clips to 1 all the same
+        bounds = np.clip((thresholds - model.low) / (model.high - model.low), 0.0, 1.0)
     if bounds[-1] >= 1.0:
         # every draw lies at or below the last boundary, so that rank fails
         return 0.0
@@ -269,22 +276,25 @@ def _simulate(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Monte Carlo ``(estimate, std_error)`` for ascending, then descending service.
 
-    Each chunk of draws is drawn and sorted once and counted for both
-    orders, so the two estimates are paired on one seeded stream.
+    Each block of draws is drawn and sorted once and counted for both
+    orders, so the two estimates are paired on one seeded stream.  A block
+    holds at most ``_MC_ELEMENTS`` draws (at least one row), so memory stays
+    bounded whatever ``n`` and ``trials`` are.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     thresholds = stage_thresholds(model)
     rng = np.random.default_rng(seed)
     ascending = descending = 0
+    block = max(1, _MC_ELEMENTS // model.n)
     remaining = trials
     while remaining > 0:
-        chunk = min(remaining, _MC_CHUNK)
-        draws = rng.uniform(model.low, model.high, size=(chunk, model.n))
+        rows = min(remaining, block)
+        draws = rng.uniform(model.low, model.high, size=(rows, model.n))
         up, down = _kernels.count_positive_trials(draws, thresholds)
         ascending += up
         descending += down
-        remaining -= chunk
+        remaining -= rows
 
     def estimate(hits: int) -> tuple[float, float]:
         p = hits / trials
@@ -303,7 +313,7 @@ def prob_positive_montecarlo(
     clamping, and counts the trial a success when every at-processing-time
     probability stays strictly positive.  Bit-reproducible for a given
     ``(model, strategy, trials, seed)``: draws come from a PCG64 generator
-    seeded explicitly, consumed in a fixed order regardless of chunking.
+    seeded explicitly, consumed in a fixed order regardless of blocking.
     """
     if strategy not in ("ascending", "descending"):
         raise ValueError(f"strategy must be 'ascending' or 'descending', got {strategy!r}")

@@ -76,6 +76,11 @@ _CSV_DECIMALS = 6
 # one grid cell of the SVG heatmap, in user units
 _SVG_CELL = 24.0
 
+# largest --n: the positivity recursion grows as n**2 (about 4 s at 10**4),
+# and a figure holds n**2 cells (CSV at n = 3000: about 10 s and 340 MB)
+_MAX_POPULATION_N = 10_000
+_MAX_FIGURE_N = 1_000
+
 
 @dataclass(frozen=True, eq=True)
 class ScenarioConfig:
@@ -495,8 +500,28 @@ def _add_scenario_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_population_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=13, help="population size (default: 13)")
+def _population_size(limit: int):
+    """argparse type for ``--n``: an integer no larger than ``limit``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {n}")
+        return n
+
+    return parse
+
+
+def _add_population_flags(parser: argparse.ArgumentParser, max_n: int) -> None:
+    parser.add_argument(
+        "--n",
+        type=_population_size(max_n),
+        default=13,
+        help=f"population size, at most {max_n} (default: 13)",
+    )
     parser.add_argument(
         "--decay", type=float, default=0.06, help="linear decay step per stage (default: 0.06)"
     )
@@ -545,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", help="Monte Carlo positivity probability for both service strategies"
     )
-    _add_population_flags(p_sim)
+    _add_population_flags(p_sim, _MAX_POPULATION_N)
     p_sim.add_argument(
         "--trials", type=int, default=100_000, help="Monte Carlo trials (default: 100000)"
     )
@@ -556,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos = sub.add_parser(
         "positivity", help="exact positivity report (closed form + recursion)"
     )
-    _add_population_flags(p_pos)
+    _add_population_flags(p_pos, _MAX_POPULATION_N)
     _add_format_flag(p_pos)
     p_pos.set_defaults(func=_cmd_positivity)
 
@@ -564,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure", help="stage-by-item probability matrix as CSV and/or SVG heatmap"
     )
     p_fig.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    _add_population_flags(p_fig)
+    _add_population_flags(p_fig, _MAX_FIGURE_N)
     p_fig.add_argument(
         "--out",
         action="append",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -45,6 +47,8 @@ class TestPopulationModel:
     def test_rejects_negative_decay(self):
         with pytest.raises(ValueError, match="decay_step"):
             PopulationModel(n=3, low=0.0, high=1.0, decay_step=-0.01)
+        with pytest.raises(ValueError, match="decay_step must be a finite number"):
+            PopulationModel(n=3, low=0.0, high=1.0, decay_step=float("inf"))
 
 
 class TestThresholds:
@@ -280,10 +284,32 @@ class TestMonteCarlo:
         assert a == b
 
     def test_chunking_does_not_change_the_stream(self, monkeypatch):
-        before = prob_positive_montecarlo(REFERENCE_MODEL, "descending", 25_000, 3)
-        monkeypatch.setattr(analysis, "_MC_CHUNK", 999)
-        after = prob_positive_montecarlo(REFERENCE_MODEL, "descending", 25_000, 3)
-        assert before == after
+        # 999 draws give 76-row blocks at n = 13 and 142-row blocks at n = 7:
+        # neither n divides that budget, nor either block its trial count;
+        # a budget of one draw gives one-row blocks
+        mixed = PopulationModel(n=7, low=0.0, high=1.0, decay_step=0.08)
+        for model, trials, elements in (
+            (REFERENCE_MODEL, 25_000, 999),
+            (mixed, 1_001, 999),
+            (mixed, 1_001, 1),
+        ):
+            for strategy in ("ascending", "descending"):
+                before = prob_positive_montecarlo(model, strategy, trials, 3)
+                with monkeypatch.context() as patch:
+                    patch.setattr(analysis, "_MC_ELEMENTS", elements)
+                    after = prob_positive_montecarlo(model, strategy, trials, 3)
+                assert before == after
+
+    def test_block_memory_does_not_grow_with_n(self):
+        # 20,000 trials of 1,000 draws in one block would take 160 MB
+        model = PopulationModel(n=1000, low=0.5, high=1.0, decay_step=0.0006)
+        tracemalloc.start()
+        try:
+            analysis._simulate(model, 20_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_agrees_with_closed_form_strongest(self):
         model = PopulationModel(n=2, low=0.0, high=1.0, decay_step=0.3)

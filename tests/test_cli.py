@@ -531,6 +531,54 @@ class TestCliSimulateAndPositivity:
         assert code == 2
         assert "bounds" in err
 
+    def test_positivity_infinite_decay_is_validation(self, capsys):
+        code, out, err = run_cli(["positivity", "--decay", "inf"], capsys)
+        assert (code, out) == (2, "")
+        assert "decay_step must be a finite number" in err
+
+    def test_simulate_infinite_decay_is_validation(self, capsys):
+        # it used to print "decay_step":Infinity, which is not JSON
+        code, out, err = run_cli(
+            ["simulate", "--decay", "inf", "--trials", "10", "--format", "structured"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "decay_step must be a finite number" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (["positivity"], ("strongest_first", "weakest_first")),
+            (["simulate", "--trials", "100"],
+             ("strongest_first_estimate", "weakest_first_estimate")),
+        ],
+        ids=["positivity", "simulate"],
+    )
+    def test_overflowing_decay_step_gives_zero(self, argv, keys, capsys):
+        # d * (n - 1) overflows to inf, a threshold no draw clears
+        code, out, err = run_cli([*argv, "--decay", "1e308", "--format", "structured"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [payload[key] for key in keys] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [(["positivity"], 10_000), (["simulate", "--trials", "1"], 10_000), (["figure"], 1_000)],
+        ids=["positivity", "simulate", "figure"],
+    )
+    def test_population_size_limit(self, argv, limit, capsys):
+        code, out, err = run_cli([*argv, "--n", str(limit + 1)], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument --n: must be at most {limit}" in err
+
+    def test_simulate_at_population_size_limit(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--n", "10000", "--trials", "1", "--format", "structured"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["n"], payload["trials"]) == (10_000, 1)
+
 
 class TestCliFigure:
     def test_writes_csv_and_svg(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -103,7 +104,46 @@ class TestBestPermutation:
             best_permutation(np.zeros((0, 0)), use_product=False)
 
 
+def count_reference(draws, thresholds):
+    """Plain-Python reference: sort each row, compare every stage strictly."""
+    ascending = descending = 0
+    for row in draws.tolist():
+        served = sorted(row)
+        ascending += all(v > t for v, t in zip(served, thresholds))
+        descending += all(v > t for v, t in zip(reversed(served), thresholds))
+    return ascending, descending
+
+
+@st.composite
+def counting_inputs(draw):
+    """Draws on a 0.2 grid, so some land exactly on a threshold."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, 40))
+    steps = st.integers(0, 5)
+    draws = np.array(draw(st.lists(steps, min_size=rows * n, max_size=rows * n)), dtype=float)
+    draws = draws.reshape(rows, n) * 0.2
+    kind = draw(st.sampled_from(["grid", "sorted", "below"]))
+    thresholds = np.array(draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n))) * 0.2
+    if kind == "sorted":
+        thresholds = np.sort(thresholds)
+    elif kind == "below":
+        # below every draw, so no stage is live
+        thresholds = thresholds - 2.0
+    elif draw(st.booleans()):
+        thresholds[draw(st.integers(0, n - 1))] = math.inf
+    return draws, thresholds
+
+
 class TestCountPositiveTrials:
+    @settings(max_examples=300, deadline=None)
+    @given(counting_inputs())
+    def test_property_matches_row_by_row_reference(self, inputs):
+        draws, thresholds = inputs
+        assert count_positive_trials(draws, thresholds) == count_reference(draws, thresholds)
+
+    def test_zero_rows(self):
+        assert count_positive_trials(np.zeros((0, 3)), np.zeros(3)) == (0, 0)
+
     def test_hand_checked_rows_ascending(self):
         draws = np.array(
             [
