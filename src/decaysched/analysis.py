@@ -65,9 +65,8 @@ _QUAD_EPSABS = 1e-9
 # the result moves by less than 1e-140 for n up to 10**4
 _FLUSH_BELOW = 2.0**-511
 
-# draws per Monte Carlo block: 2**16 float64 values (512 kB) stay in cache
-# and bound peak memory whatever n and trials are; a block holds
-# max(1, _MC_ELEMENTS // n) rows, and the stream does not depend on it
+# draws per Monte Carlo block: 2**16 float64 values (512 kB) stay in cache;
+# the seeded stream does not depend on the block size
 _MC_ELEMENTS = 65_536
 
 
