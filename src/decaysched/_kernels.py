@@ -122,18 +122,12 @@ def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[in
         raise ValueError(f"draws must be two-dimensional, got shape {mat.shape}")
     if thr.ndim != 1 or thr.size != mat.shape[1]:
         raise ValueError(f"thresholds must have length {mat.shape[1]}, got shape {thr.shape}")
-    rows, n = mat.shape
-    if mat.size == 0:
-        # no stage can fail in an empty row, and no row means no count
-        return rows, rows
+    n = mat.shape[1]
     s = np.sort(mat, axis=1)
-    live = np.flatnonzero(thr >= s[:, 0].min())
+    live = np.flatnonzero(thr >= s[:, :1].min(initial=np.inf))
     first = int(live[0]) if live.size else n
-    # np.all folds each short row slowly, so with many rows per compared
-    # stage lay the comparison out stage by stage (the measured crossover
-    # is near four rows per stage)
-    order = "F" if rows > 4 * (n - first) else "C"
-    # descending serves column j at stage n - 1 - j
-    ascending = np.greater(s[:, first:], thr[first:], order=order).all(axis=1)
-    descending = np.greater(s[:, : n - first], thr[::-1][: n - first], order=order).all(axis=1)
+    # np.all folds a short row slowly, so lay the comparison out stage by
+    # stage; descending serves column j at stage n - 1 - j
+    ascending = np.greater(s[:, first:], thr[first:], order="F").all(axis=1)
+    descending = np.greater(s[:, : n - first], thr[::-1][: n - first], order="F").all(axis=1)
     return int(ascending.sum()), int(descending.sum())

@@ -144,6 +144,9 @@ class TestCountPositiveTrials:
     def test_zero_rows(self):
         assert count_positive_trials(np.zeros((0, 3)), np.zeros(3)) == (0, 0)
 
+    def test_zero_stages_count_every_row(self):
+        assert count_positive_trials(np.zeros((4, 0)), np.zeros(0)) == (4, 4)
+
     def test_hand_checked_rows_ascending(self):
         draws = np.array(
             [
