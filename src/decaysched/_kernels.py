@@ -4,13 +4,14 @@ Two inner loops dominate this package's runtime: the exhaustive search for
 the best service order over a stage/item value table, and Monte Carlo trial
 counting.
 
-The search is a forward dynamic programme over subsets of served items
-(Held & Karp 1962, *J. SIAM* 10(1):196-210): O(n^2 * 2^n) work instead of
-the O(n * n!) of enumerating every order.  It folds the table stage by
-stage, exactly as an enumeration would, and both ``x + c`` and ``x * c``
-(for ``c >= 0``) round monotonically in ``x``, so the best fold of a subset
-extends to the best fold of its supersets and the optimum is bit-identical
-to the enumeration's.
+The search is a dynamic programme over subsets of items (Held & Karp 1962,
+*J. SIAM* 10(1):196-210): O(n^2 * 2^n) work instead of the O(n * n!) of
+enumerating every order.  It folds the table stage by stage, exactly as an
+enumeration would, and both ``x + c`` and ``x * c`` (for ``c >= 0``) round
+monotonically in ``x``, so the best fold of a subset extends to the best
+fold of its supersets and the optimum is bit-identical to the
+enumeration's.  The order is rebuilt with one batched pass per stage, and
+the first stage's pass also yields the optimum.
 
 The counter sorts each block of trials once and compares only the live
 stages, those whose threshold is at or above the block's smallest draw:
@@ -49,18 +50,24 @@ def _subset_layers(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
     return tuple(layers)
 
 
+@lru_cache(maxsize=None)
+def _without_each(m: int) -> np.ndarray:
+    """Row ``r`` holds the positions ``0..m-1`` without ``r``, ascending."""
+    return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+
+
 def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.ndarray:
     """Best fold of each table in a batch over every order of its k items.
 
-    ``tables`` has shape ``(batch, k, k)`` with entry ``[b, i, j]`` the value
-    of item ``j`` at stage ``i``; ``start`` holds each table's value before
-    the first stage.  Returns the ``batch`` maxima.
+    ``tables`` is stage-major, shape ``(k, batch, k)``: entry ``[i, b, j]`` is
+    the value in table ``b`` of item ``j`` at stage ``i``; ``start`` holds
+    each table's value before the first stage.  Returns the ``batch`` maxima.
     """
-    batch, k, _ = tables.shape
+    k, batch, _ = tables.shape
     best = np.empty((batch, 1 << k))
     best[:, 0] = start
     for stage, (layer, items, preds) in enumerate(_subset_layers(k)):
-        entries = tables[:, stage, :][:, items]
+        entries = tables[stage][:, items]
         folds = best[:, preds] * entries if use_product else best[:, preds] + entries
         best[:, layer] = folds.max(axis=2)
     return best[:, -1]
@@ -73,6 +80,12 @@ def best_permutation(stage_item: np.ndarray, use_product: bool) -> tuple[float, 
     non-negative.  Values are folded stage by stage, as an enumeration of
     all n! orders would fold them, and ties resolve to the lexicographically
     smallest permutation.  Returns ``(best_value, best_permutation)``.
+
+    The order is built one stage at a time.  Each stage runs one batched
+    subset search, from every remaining item's fold onto the actual prefix
+    value, over the items left after it, and serves the smallest item that
+    reaches the optimum.  The first stage's searches cover every order, so
+    their maximum is the optimum; no separate pass finds it.
     """
     table = np.ascontiguousarray(stage_item, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
@@ -81,22 +94,21 @@ def best_permutation(stage_item: np.ndarray, use_product: bool) -> tuple[float, 
         raise ValueError("stage_item entries must be non-negative")
     n = table.shape[0]
     value = 1.0 if use_product else 0.0
-    target = _best_folds(table[None], np.array([value]), use_product)[0]
-    # Rebuild greedily: at each stage serve the smallest remaining item from
-    # which the rest can still reach the target, folding from the actual
-    # prefix value (which may sit below the best fold of the prefix set).
     remaining = np.arange(n, dtype=np.int64)
     perm = np.empty(n, dtype=np.int64)
     for stage in range(n):
-        m = remaining.size
+        # fold from the actual prefix value, which may sit below the best
+        # fold of the prefix set
         entries = table[stage, remaining]
         starts = entries * value if use_product else entries + value
         # row r: the items left after serving remaining[r] now
-        rest = np.broadcast_to(remaining, (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-        tails = table[stage + 1 :][:, rest].transpose(1, 0, 2)
-        pick = int(np.argmax(_best_folds(tails, starts, use_product) == target))
+        rest = remaining[_without_each(remaining.size)]
+        folds = _best_folds(table[stage + 1 :][:, rest], starts, use_product)
+        if stage == 0:
+            target = folds.max()
+        pick = int(np.argmax(folds == target))
         perm[stage] = remaining[pick]
-        remaining = np.delete(remaining, pick)
+        remaining = rest[pick]
         value = starts[pick]
     return float(target), perm
 

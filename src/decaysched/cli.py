@@ -52,6 +52,7 @@ from .decay import (
 from .distribution import ProbabilityVector, as_probability_vector
 from .scheduler import (
     Objective,
+    ScheduleMetrics,
     brute_force_optimal,
     evaluate_order,
     recommended_order,
@@ -379,7 +380,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     order = _resolve_order(args.order, config)
     pv = config.probabilities
     p1 = stage_probabilities(ProbabilityVector(pv.probs[order]), config.decay)
-    metrics = evaluate_order(pv, order, config.decay)
+    metrics = ScheduleMetrics.from_stage_probabilities(p1)
     _emit(
         {
             "order": [int(i) for i in order],

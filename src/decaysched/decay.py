@@ -35,11 +35,13 @@ def linear_decay_sequence(rate: float, n: int) -> np.ndarray:
     >>> linear_decay_sequence(0.1, 4).tolist()
     [0.0, 0.1, 0.2, 0.30000000000000004]
     """
-    if not rate >= 0.0:
-        raise ValueError(f"decay rate must be >= 0, got {rate}")
+    if not 0.0 <= rate < np.inf:
+        raise ValueError(f"decay rate must be a finite number >= 0, got {rate}")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return rate * np.arange(n, dtype=np.float64)
+    # a finite rate may still overflow; the inf it leaves is for callers to reject
+    with np.errstate(over="ignore"):
+        return rate * np.arange(n, dtype=np.float64)
 
 
 def _decay_sequence_array(values, name: str = "decay") -> np.ndarray:

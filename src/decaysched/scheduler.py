@@ -134,10 +134,12 @@ def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
 def brute_force_optimal(p0, decay: DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:
     """Exactly maximize the objective over all n! service orders.
 
-    Returns ``(order, value)``.  The search is a dynamic programme over
-    subsets of served items (see ``_kernels.best_permutation``); its value is
-    bit-identical to enumerating every order, and ties resolve to the
-    lexicographically smallest order.  Limited to n <= 10.
+    Returns ``(order, value)``.  The search builds the order one stage at a
+    time, with one dynamic programme over subsets of the remaining items per
+    stage (see ``_kernels.best_permutation``); the first stage's pass gives
+    the optimum.  Its value is bit-identical to enumerating every order, and
+    ties resolve to the lexicographically smallest order.  Limited to
+    n <= 10.
     """
     pv = as_probability_vector(p0)
     objective = Objective(objective)

@@ -620,6 +620,19 @@ class TestCliFigure:
         assert code == 2
         assert "bounds" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "decay,message",
+        [
+            ("inf", "decay rate must be a finite number >= 0, got inf"),
+            ("1e308", "decay_per_stage entries must be finite"),  # overflows at stage 2
+        ],
+        ids=["inf", "1e308"],
+    )
+    def test_non_finite_decay_is_one_error_line(self, decay, message, capsys):
+        code, out, err = run_cli(["figure", "--decay", decay], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestCliPlumbing:
     def test_help_exits_zero(self, capsys):
@@ -641,6 +654,26 @@ class TestCliPlumbing:
         code, _, err = run_cli(["positivity"], capsys)
         assert code == 1
         assert "internal error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["optimize", "--format", "structured"], ["figure", "--n", "4", "--header"]],
+        ids=["optimize", "figure"],
+    )
+    def test_python_dash_m_runs_the_cli(self, argv, monkeypatch, capsys):
+        # optimize reads its scenario from stdin; figure ignores stdin
+        src = str(Path(decaysched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "decaysched", *argv],
+            input=SCENARIO_B.encode(),
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(SCENARIO_B))
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
 
 
 class TestImportCost:

@@ -38,6 +38,15 @@ class TestLinearDecaySequence:
         with pytest.raises(ValueError, match="positive integer"):
             linear_decay_sequence(0.1, 0)
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match=f"finite number >= 0, got {rate}"):
+            linear_decay_sequence(rate, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_left_to_callers_without_a_warning(self):
+        assert linear_decay_sequence(1e308, 3).tolist() == [0.0, 1e308, np.inf]
+
 
 class TestAdditiveDecay:
     def test_linear_constructor(self):

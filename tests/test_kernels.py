@@ -53,6 +53,21 @@ class TestBestPermutation:
         assert value == ref_value
         np.testing.assert_array_equal(perm, ref_perm)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.floats(0.5, 1.0), min_size=8, max_size=8),
+        st.floats(0.0, 0.07),
+    )
+    def test_property_unclamped_additive_n8_matches_enumeration(self, p0, rate):
+        # no item reaches zero, so every order has the same exact sum and
+        # rounding alone picks the winner
+        table = stage_item_matrix(p0, AdditiveDecay.linear(rate, 8))
+        assert table.min() > 0.0
+        value, perm = best_permutation(table, use_product=False)
+        ref_value, ref_perm = brute_reference(table, use_product=False)
+        assert value == ref_value
+        np.testing.assert_array_equal(perm, ref_perm)
+
     def test_rebuild_folds_the_actual_prefix(self):
         # Serving 0 then 1 folds to 0.7999999999999999, 1 ulp below serving
         # 1 then 0 (0.8).  From 0.8 serving item 2 next would reach the
