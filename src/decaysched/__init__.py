@@ -7,22 +7,18 @@ evaluates service orders (success-count distribution, expected successes,
 all-success probability), finds optimal orders exhaustively or by provably
 optimal sorting strategies, and analyzes populations with uniform random
 initial probabilities (probability that no item decays to zero, by closed
-form, an exact order-statistics recursion, and Monte Carlo; a nested
-quadrature, which imports scipy only when called, is kept as an oracle).
+form, an exact order-statistics recursion, and Monte Carlo).
 """
 
 from .analysis import (
-    MAX_QUADRATURE_DIMENSION,
     PopulationModel,
     PositivityReport,
-    QuadratureDimensionError,
     active_thresholds,
     positivity_report,
     positivity_report_montecarlo,
     prob_positive_montecarlo,
     prob_strongest_first_positive,
     prob_weakest_first_positive,
-    prob_weakest_first_positive_quadrature,
     stage_thresholds,
 )
 from .cli import (
@@ -39,12 +35,8 @@ from .decay import (
     AdditiveDecay,
     DecaySpec,
     MultiplicativeDecay,
-    Schedule,
-    apply_additive,
-    apply_multiplicative,
     as_permutation,
     linear_decay_sequence,
-    multiplicative_stage_factors,
     stage_probabilities,
 )
 from .distribution import (
@@ -81,12 +73,8 @@ __all__ = [
     "AdditiveDecay",
     "MultiplicativeDecay",
     "DecaySpec",
-    "Schedule",
     "as_permutation",
     "linear_decay_sequence",
-    "apply_additive",
-    "apply_multiplicative",
-    "multiplicative_stage_factors",
     "stage_probabilities",
     # scheduler
     "Objective",
@@ -100,13 +88,10 @@ __all__ = [
     # analysis
     "PopulationModel",
     "PositivityReport",
-    "QuadratureDimensionError",
-    "MAX_QUADRATURE_DIMENSION",
     "stage_thresholds",
     "active_thresholds",
     "prob_strongest_first_positive",
     "prob_weakest_first_positive",
-    "prob_weakest_first_positive_quadrature",
     "prob_positive_montecarlo",
     "positivity_report",
     "positivity_report_montecarlo",

@@ -18,17 +18,6 @@ whose threshold exceeds ``low`` can fail; ``m`` denotes their number.
 all-positive recursion of Noe (1972, *Ann. Math. Statist.* 43(1):58-64) in
 the Poisson form of Moscovich & Nadler (2017, *Stat. Probab. Lett.*
 123:177-182).
-
-``prob_weakest_first_positive_quadrature`` is the independent oracle: it
-integrates the joint density of the top ``m`` order statistics
-``t_1 <= ... <= t_m`` of ``n`` uniform draws,
-
-    n!/(n-m)! * F(t_1)**(n-m) * prod_j f(t_j)
-
-with ``F``/``f`` the Uniform(low, high) cdf/pdf, over the box-truncated
-simplex where each ``t_j`` exceeds its stage threshold, as nested
-one-dimensional adaptive quadratures, innermost variable first.  It imports
-scipy when called, so importing this module does not.
 """
 
 from __future__ import annotations
@@ -43,22 +32,14 @@ from . import _kernels
 __all__ = [
     "PopulationModel",
     "PositivityReport",
-    "QuadratureDimensionError",
-    "MAX_QUADRATURE_DIMENSION",
     "stage_thresholds",
     "active_thresholds",
     "prob_strongest_first_positive",
     "prob_weakest_first_positive",
-    "prob_weakest_first_positive_quadrature",
     "prob_positive_montecarlo",
     "positivity_report",
     "positivity_report_montecarlo",
 ]
-
-# nested adaptive quadrature beyond 6 axes is slower than simulating
-MAX_QUADRATURE_DIMENSION = 6
-
-_QUAD_EPSABS = 1e-9
 
 # recursion terms below this are dropped: the product of two kept terms is
 # a normal float (subnormal arithmetic costs many times a normal one), and
@@ -68,14 +49,6 @@ _FLUSH_BELOW = 2.0**-511
 # draws per Monte Carlo block: 2**16 float64 values (512 kB) stay in cache;
 # the seeded stream does not depend on the block size
 _MC_ELEMENTS = 65_536
-
-
-class QuadratureDimensionError(ValueError):
-    """Too many active thresholds for the nested-quadrature oracle.
-
-    Raised only by ``prob_weakest_first_positive_quadrature``;
-    ``prob_weakest_first_positive`` has no such limit.
-    """
 
 
 @dataclass(frozen=True)
@@ -224,50 +197,6 @@ def prob_weakest_first_positive(model: PopulationModel) -> float:
     above = log_poisson(1.0 - previous, n + 1)[::-1][: weights.size]
     value = weights @ np.exp(above - (n * math.log(n) - n - log_factorial[n]))
     return float(min(max(value, 0.0), 1.0))
-
-
-def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
-    """Positivity probability for weakest-first service via nested quadrature.
-
-    Integrates the joint density of the top-m order statistics over the
-    region where each active order statistic exceeds its stage threshold
-    (each variable bounded above by the next order statistic).  Deterministic;
-    per-axis absolute tolerance 1e-9.  Raises QuadratureDimensionError when
-    more than MAX_QUADRATURE_DIMENSION thresholds are active.
-    """
-    # scipy costs most of the package's import time and only this oracle uses it
-    from scipy.integrate import quad
-
-    active = active_thresholds(model)
-    m = len(active)
-    if m == 0:
-        return 1.0
-    if m > MAX_QUADRATURE_DIMENSION:
-        raise QuadratureDimensionError(
-            f"{m} active thresholds exceed the {MAX_QUADRATURE_DIMENSION}-axis quadrature "
-            f"limit; use prob_positive_montecarlo instead"
-        )
-    thresholds = [t for _, t in active]
-    n, a, b = model.n, model.low, model.high
-    if thresholds[-1] >= b:
-        return 0.0
-    width = b - a
-    # full normalizing constant lives in the innermost factor so each axis's
-    # absolute tolerance is meaningful at the scale of the final result
-    lead = math.factorial(n) / math.factorial(n - m) / width**m
-
-    def innermost(t: float) -> float:
-        return lead * ((t - a) / width) ** (n - m)
-
-    def layer(j: int, upper: float) -> float:
-        lower = thresholds[j]
-        if upper <= lower:
-            return 0.0
-        f = innermost if j == 0 else (lambda t: layer(j - 1, t))
-        value, _ = quad(f, lower, upper, epsabs=_QUAD_EPSABS, epsrel=0.0, limit=200)
-        return value
-
-    return float(min(max(layer(m - 1, b), 0.0), 1.0))
 
 
 def _simulate(

@@ -12,8 +12,9 @@ Scenario files are JSON objects::
 ``decay.type`` is ``additive`` (with ``rate`` >= 0, the per-stage linear
 step) or ``multiplicative`` (with ``factor`` strictly inside (0, 1)).
 ``interval`` and ``objective`` are optional and default to 1.0 and
-``expected``; ``interval`` is presentational bookkeeping and is ignored for
-multiplicative decay.  All item indices on the command line are 0-based.
+``expected``; ``interval`` enters no computation and only round-trips
+through ``serialize_scenario`` (for additive decay).  All item indices on
+the command line are 0-based.
 
 Subcommands: ``evaluate`` (metrics for one order), ``optimize`` (exhaustive
 or sorted-order search), ``simulate`` (Monte Carlo positivity for both
@@ -49,12 +50,15 @@ from .decay import (
     linear_decay_sequence,
     stage_probabilities,
 )
-from .distribution import ProbabilityVector, as_probability_vector
+from .distribution import (
+    ProbabilityVector,
+    as_probability_vector,
+    expected_successes,
+    prob_all_success,
+)
 from .scheduler import (
     Objective,
-    ScheduleMetrics,
     brute_force_optimal,
-    evaluate_order,
     recommended_order,
     sort_order,
     stage_item_matrix,
@@ -81,6 +85,9 @@ _SVG_CELL = 24.0
 # and a figure holds n**2 cells (CSV at n = 3000: about 10 s and 340 MB)
 _MAX_POPULATION_N = 10_000
 _MAX_FIGURE_N = 1_000
+
+# largest trials * n for simulate: about 15 s at 12-16 ns per draw
+_MAX_SIMULATED_DRAWS = 10**9
 
 
 @dataclass(frozen=True, eq=True)
@@ -378,15 +385,13 @@ def _population(args: argparse.Namespace) -> analysis.PopulationModel:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_scenario(args)
     order = _resolve_order(args.order, config)
-    pv = config.probabilities
-    p1 = stage_probabilities(ProbabilityVector(pv.probs[order]), config.decay)
-    metrics = ScheduleMetrics.from_stage_probabilities(p1)
+    p1 = stage_probabilities(config.probabilities.probs[order], config.decay)
     _emit(
         {
             "order": [int(i) for i in order],
             "stage_probabilities": [float(v) for v in p1],
-            "expected_successes": metrics.expected_successes,
-            "prob_all_success": metrics.prob_all_success,
+            "expected_successes": expected_successes(p1),
+            "prob_all_success": prob_all_success(p1),
         },
         args.format,
     )
@@ -409,7 +414,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             order = np.arange(config.probabilities.n)
         else:
             order = sort_order(config.probabilities, strategy)
-        value = evaluate_order(config.probabilities, order, config.decay).value(objective)
+        p1 = stage_probabilities(config.probabilities.probs[order], config.decay)
+        if objective is Objective.PROB_ALL_SUCCESS:
+            value = prob_all_success(p1)
+        else:
+            value = expected_successes(p1)
     payload["order"] = [int(i) for i in order]
     payload["value"] = float(value)
     _emit(payload, args.format)
@@ -418,6 +427,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _population(args)
+    limit = _MAX_SIMULATED_DRAWS // model.n
+    if args.trials > limit:
+        raise ValueError(
+            f"--trials must be at most {limit} at --n {model.n} "
+            f"({_MAX_SIMULATED_DRAWS} draws in all), got {args.trials}"
+        )
     (est_w, se_w), (est_s, se_s) = analysis._simulate(model, args.trials, args.seed)
     _emit(
         {
@@ -573,7 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_population_flags(p_sim, _MAX_POPULATION_N)
     p_sim.add_argument(
-        "--trials", type=int, default=100_000, help="Monte Carlo trials (default: 100000)"
+        "--trials",
+        type=int,
+        default=100_000,
+        help=f"Monte Carlo trials, with trials * n at most {_MAX_SIMULATED_DRAWS} "
+        "(default: 100000)",
     )
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     _add_format_flag(p_sim)

@@ -19,12 +19,8 @@ __all__ = [
     "AdditiveDecay",
     "MultiplicativeDecay",
     "DecaySpec",
-    "Schedule",
     "as_permutation",
     "linear_decay_sequence",
-    "apply_additive",
-    "apply_multiplicative",
-    "multiplicative_stage_factors",
     "stage_probabilities",
 ]
 
@@ -44,32 +40,27 @@ def linear_decay_sequence(rate: float, n: int) -> np.ndarray:
         return rate * np.arange(n, dtype=np.float64)
 
 
-def _decay_sequence_array(values, name: str = "decay") -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty one-dimensional sequence")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} entries must be finite")
-    if (arr < 0.0).any():
-        i = int(np.argmax(arr < 0.0))
-        raise ValueError(f"{name}[{i}] = {arr[i]} is negative")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class AdditiveDecay:
     """Additive decay: per-stage drops ``d_1..d_n`` (non-decreasing, >= 0).
 
-    ``interval`` is the constant gap between consecutive processing starts;
-    it only affects derived start times, never the probabilities, since the
-    drops already absorb the time dependence.
+    ``interval`` (> 0) enters no computation: the drops already hold the
+    time dependence.  It is kept so that a scenario's ``interval`` field
+    round-trips through ``serialize_scenario``.
     """
 
     decay_per_stage: np.ndarray
     interval: float = 1.0
 
     def __post_init__(self) -> None:
-        arr = _decay_sequence_array(self.decay_per_stage, "decay_per_stage").copy()
+        arr = np.array(self.decay_per_stage, dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("decay_per_stage must be a non-empty one-dimensional sequence")
+        if not np.isfinite(arr).all():
+            raise ValueError("decay_per_stage entries must be finite")
+        if (arr < 0.0).any():
+            i = int(np.argmax(arr < 0.0))
+            raise ValueError(f"decay_per_stage[{i}] = {arr[i]} is negative")
         if (np.diff(arr) < 0.0).any():
             raise ValueError("decay_per_stage must be non-decreasing")
         if not self.interval > 0.0:
@@ -129,77 +120,27 @@ def as_permutation(order, n: int | None = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Schedule:
-    """A service order (0-based permutation) with equally spaced start times."""
+def _decayed(p0: np.ndarray, stage: np.ndarray, decay: DecaySpec) -> np.ndarray:
+    """Value at 0-based ``stage`` of an item with initial probability ``p0``.
 
-    order: np.ndarray
-    interval: float = 1.0
-
-    def __post_init__(self) -> None:
-        arr = as_permutation(self.order)
-        if not self.interval > 0.0:
-            raise ValueError(f"interval must be > 0, got {self.interval}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "order", arr)
-
-    @property
-    def n(self) -> int:
-        return self.order.size
-
-    @property
-    def start_times(self) -> np.ndarray:
-        """Stage start times ``t_i = (i - 1) * interval``; first stage starts at 0."""
-        return self.interval * np.arange(self.n, dtype=np.float64)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Schedule):
-            return NotImplemented
-        return np.array_equal(self.order, other.order) and self.interval == other.interval
-
-
-def apply_additive(p0_in_service_order, decay) -> ProbabilityVector:
-    """Clamped subtraction ``P1(i) = (P0(i) - d_i)^+``, entry by entry.
-
-    ``decay`` is the per-stage drop sequence; it must match the vector length
-    and be non-negative, so the result never exceeds the input.
+    The two arrays broadcast against each other.  ``p0`` holds one entry
+    per item, and an additive law must have exactly one stage per item.
     """
-    pv = as_probability_vector(p0_in_service_order)
-    d = _decay_sequence_array(decay)
-    if d.size != pv.n:
-        raise ValueError(f"decay sequence has length {d.size}, expected {pv.n}")
-    out = np.maximum(pv.probs - d, 0.0)
-    # with d >= 0 and P0 <= 1 the upper bound can never be hit; keep it checked
-    assert (out <= 1.0).all()
-    return ProbabilityVector(out)
-
-
-def multiplicative_stage_factors(factor: float, n: int) -> np.ndarray:
-    """Retention factors ``p**(i-1)`` for stages ``i = 1..n`` (stage 1 undecayed)."""
-    if not (0.0 < factor < 1.0):
-        raise ValueError(
-            f"multiplicative factor must lie strictly between 0 and 1, got {factor}"
-        )
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return factor ** np.arange(n, dtype=np.float64)
-
-
-def apply_multiplicative(p0_in_service_order, factor: float) -> ProbabilityVector:
-    """Geometric decay ``P1(i) = P0(i) * factor**(i-1)``.
-
-    Across all n stages the all-success product picks up a total factor
-    ``factor**(n*(n-1)/2)`` regardless of the order, which is why the
-    all-success probability is order-invariant under this law.
-    """
-    pv = as_probability_vector(p0_in_service_order)
-    return ProbabilityVector(pv.probs * multiplicative_stage_factors(factor, pv.n))
+    if isinstance(decay, AdditiveDecay):
+        if decay.n != p0.size:
+            raise ValueError(f"decay has {decay.n} stages, expected {p0.size}")
+        return np.maximum(p0 - decay.decay_per_stage[stage], 0.0)
+    if isinstance(decay, MultiplicativeDecay):
+        return p0 * decay.factor ** stage
+    raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
 
 
 def stage_probabilities(p0_in_service_order, decay: DecaySpec) -> ProbabilityVector:
-    """Apply a decay law to probabilities already arranged in service order."""
-    if isinstance(decay, AdditiveDecay):
-        return apply_additive(p0_in_service_order, decay.decay_per_stage)
-    if isinstance(decay, MultiplicativeDecay):
-        return apply_multiplicative(p0_in_service_order, decay.factor)
-    raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
+    """Apply a decay law to probabilities already arranged in service order.
+
+    The multiplicative law's stage factors multiply to
+    ``factor**(n*(n-1)/2)`` whatever the order, which is why the all-success
+    probability is order-invariant under that law.
+    """
+    pv = as_probability_vector(p0_in_service_order)
+    return ProbabilityVector(_decayed(pv.probs, np.arange(pv.n), decay))

@@ -16,14 +16,7 @@ from typing import Literal
 import numpy as np
 
 from . import _kernels
-from .decay import (
-    AdditiveDecay,
-    DecaySpec,
-    MultiplicativeDecay,
-    as_permutation,
-    multiplicative_stage_factors,
-    stage_probabilities,
-)
+from .decay import AdditiveDecay, DecaySpec, MultiplicativeDecay, _decayed, as_permutation
 from .distribution import (
     ProbabilityVector,
     SuccessCountPmf,
@@ -107,14 +100,7 @@ def stage_item_matrix(p0, decay: DecaySpec) -> np.ndarray:
     """Table of at-processing-time probabilities: entry (i, j) is the value
     item ``j`` would have if served at stage ``i`` (both 0-based)."""
     pv = as_probability_vector(p0)
-    if isinstance(decay, AdditiveDecay):
-        if decay.n != pv.n:
-            raise ValueError(f"decay has {decay.n} stages, expected {pv.n}")
-        return np.maximum(pv.probs[None, :] - decay.decay_per_stage[:, None], 0.0)
-    if isinstance(decay, MultiplicativeDecay):
-        factors = multiplicative_stage_factors(decay.factor, pv.n)
-        return pv.probs[None, :] * factors[:, None]
-    raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
+    return _decayed(pv.probs[None, :], np.arange(pv.n)[:, None], decay)
 
 
 def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
@@ -126,8 +112,7 @@ def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
     """
     pv = as_probability_vector(p0)
     perm = as_permutation(order, n=pv.n)
-    in_service_order = ProbabilityVector(pv.probs[perm])
-    p1 = stage_probabilities(in_service_order, decay)
+    p1 = ProbabilityVector(_decayed(pv.probs[perm], np.arange(pv.n), decay))
     return ScheduleMetrics.from_stage_probabilities(p1)
 
 

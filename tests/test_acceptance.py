@@ -9,6 +9,7 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+from oracles import prob_weakest_first_positive_quadrature
 
 from decaysched import (
     AdditiveDecay,
@@ -21,7 +22,6 @@ from decaysched import (
     generate_figure_matrix,
     prob_positive_montecarlo,
     prob_strongest_first_positive,
-    prob_weakest_first_positive_quadrature,
     sort_order,
     success_count_pmf,
 )

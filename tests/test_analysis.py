@@ -1,24 +1,28 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    MAX_QUADRATURE_DIMENSION,
+    QuadratureDimensionError,
+    prob_weakest_first_positive_exact,
+    prob_weakest_first_positive_quadrature,
+)
 from scipy.integrate import dblquad, tplquad
 
 import decaysched.analysis as analysis
 from decaysched import (
-    MAX_QUADRATURE_DIMENSION,
     PopulationModel,
     PositivityReport,
-    QuadratureDimensionError,
     active_thresholds,
     positivity_report,
     positivity_report_montecarlo,
     prob_positive_montecarlo,
     prob_strongest_first_positive,
     prob_weakest_first_positive,
-    prob_weakest_first_positive_quadrature,
     stage_thresholds,
 )
 
@@ -185,7 +189,38 @@ def few_threshold_models(draw):
     return model
 
 
+@st.composite
+def population_models(draw):
+    """Population models with 2 <= n <= 40 whose last stage alone fails with a
+    probability from 1% to 99%, so that most values are neither 0 nor 1."""
+    # whole percentages: derandomized Hypothesis spreads them wider than floats;
+    # it draws small integers most often, and n = 40 is the case to cover
+    n = 42 - draw(st.integers(2, 40))
+    low = draw(st.integers(0, 90))
+    high = draw(st.integers(low + 1, 100))
+    fails = draw(st.integers(1, 99)) / 100
+    # the largest of n mapped draws is at or below fails**(1/n) with probability fails
+    last = (low + (high - low) * fails ** (1.0 / n)) / 100
+    return PopulationModel(n=n, low=low / 100, high=high / 100, decay_step=last / (n - 1))
+
+
+def assert_matches_exact_oracle(model):
+    # the recursion's documented error: about 5e-14 relative, plus under 1e-140
+    # from flushed terms
+    exact = prob_weakest_first_positive_exact(model)
+    error = abs(Fraction(prob_weakest_first_positive(model)) - exact)
+    assert error <= Fraction(1e-13) * exact + Fraction(1e-140)
+
+
 class TestWeakestFirstRecursion:
+    def test_reference_model_matches_exact_oracle(self):
+        assert_matches_exact_oracle(REFERENCE_MODEL)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(population_models())
+    def test_matches_exact_oracle(self, model):
+        assert_matches_exact_oracle(model)
+
     def test_no_active_thresholds_returns_one(self):
         model = PopulationModel(n=5, low=0.5, high=1.0, decay_step=0.05)
         assert active_thresholds(model) == []

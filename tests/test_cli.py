@@ -571,6 +571,25 @@ class TestCliSimulateAndPositivity:
         assert (code, out) == (2, "")
         assert f"argument --n: must be at most {limit}" in err
 
+    @pytest.mark.parametrize(
+        "n,limit", [(10_000, 100_000), (13, 76_923_076)], ids=["n10000", "n13"]
+    )
+    def test_simulate_trials_budget(self, n, limit, monkeypatch, capsys):
+        # trials * n may reach 10**9 draws; nothing is drawn for a call past it
+        calls = []
+
+        def simulate(model, trials, seed):
+            calls.append(trials)
+            return (1.0, 0.0), (1.0, 0.0)
+
+        monkeypatch.setattr(decaysched.analysis, "_simulate", simulate)
+        argv = ["simulate", "--n", str(n), "--trials"]
+        code, out, err = run_cli([*argv, str(limit + 1)], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert f"--trials must be at most {limit} at --n {n}" in err
+        assert run_cli([*argv, str(limit)], capsys)[0] == 0
+        assert calls == [limit]
+
     def test_simulate_at_population_size_limit(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--n", "10000", "--trials", "1", "--format", "structured"], capsys

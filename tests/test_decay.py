@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 from decaysched import (
     AdditiveDecay,
     MultiplicativeDecay,
-    Schedule,
-    apply_additive,
-    apply_multiplicative,
     as_permutation,
     linear_decay_sequence,
-    multiplicative_stage_factors,
     stage_probabilities,
 )
 
@@ -94,51 +90,53 @@ class TestMultiplicativeDecay:
 
 
 class TestApplyAdditive:
+    """The additive law as ``stage_probabilities`` applies it."""
+
     def test_worked_vector(self):
-        p1 = apply_additive([0.8, 0.9, 0.7, 0.7], [0.0, 0.1, 0.2, 0.3])
+        p1 = stage_probabilities([0.8, 0.9, 0.7, 0.7], AdditiveDecay([0.0, 0.1, 0.2, 0.3]))
         np.testing.assert_allclose(p1.probs, [0.8, 0.8, 0.5, 0.4], rtol=0.0, atol=1e-12)
 
     def test_clamps_at_zero_exactly(self):
-        p1 = apply_additive([0.8, 0.9, 0.1, 0.2], [0.0, 0.1, 0.2, 0.3])
+        p1 = stage_probabilities([0.8, 0.9, 0.1, 0.2], AdditiveDecay([0.0, 0.1, 0.2, 0.3]))
         assert p1[2] == 0.0
         assert p1[3] == 0.0
         np.testing.assert_allclose(p1.probs[:2], [0.8, 0.8], rtol=0.0, atol=1e-12)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            apply_additive([0.5, 0.5], [0.0])
+        with pytest.raises(ValueError, match="decay has 1 stages, expected 2"):
+            stage_probabilities([0.5, 0.5], AdditiveDecay([0.0]))
 
     def test_rejects_negative_decay(self):
-        with pytest.raises(ValueError, match=r"decay\[1\]"):
-            apply_additive([0.5, 0.5], [0.0, -0.1])
+        with pytest.raises(ValueError, match=r"decay_per_stage\[1\]"):
+            stage_probabilities([0.5, 0.5], AdditiveDecay([0.0, -0.1]))
 
     @given(probability_lists, st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     def test_result_bounded_by_input(self, probs, rate):
-        d = linear_decay_sequence(rate, len(probs))
-        p1 = apply_additive(probs, d)
+        p1 = stage_probabilities(probs, AdditiveDecay.linear(rate, len(probs)))
         assert (p1.probs >= 0.0).all()
         assert (p1.probs <= np.asarray(probs) + 1e-15).all()
 
 
 class TestApplyMultiplicative:
+    """The multiplicative law as ``stage_probabilities`` applies it."""
+
     def test_stage_factors(self):
-        np.testing.assert_array_equal(
-            multiplicative_stage_factors(0.5, 4), [1.0, 0.5, 0.25, 0.125]
-        )
+        p1 = stage_probabilities([1.0, 1.0, 1.0, 1.0], MultiplicativeDecay(0.5))
+        np.testing.assert_array_equal(p1.probs, [1.0, 0.5, 0.25, 0.125])
 
     def test_first_stage_undecayed(self):
-        p1 = apply_multiplicative([0.8, 0.8, 0.8], 0.5)
+        p1 = stage_probabilities([0.8, 0.8, 0.8], MultiplicativeDecay(0.5))
         np.testing.assert_allclose(p1.probs, [0.8, 0.4, 0.2], rtol=0.0, atol=1e-15)
 
     def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            multiplicative_stage_factors(1.0, 3)
-        with pytest.raises(ValueError):
-            multiplicative_stage_factors(0.5, 0)
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            stage_probabilities([0.5, 0.5, 0.5], MultiplicativeDecay(1.0))
+        with pytest.raises(ValueError, match="at least one entry"):
+            stage_probabilities([], MultiplicativeDecay(0.5))
 
     @given(probability_lists, st.floats(min_value=0.01, max_value=0.99, allow_nan=False))
     def test_result_bounded_by_input(self, probs, factor):
-        p1 = apply_multiplicative(probs, factor)
+        p1 = stage_probabilities(probs, MultiplicativeDecay(factor))
         assert (p1.probs >= 0.0).all()
         assert (p1.probs <= np.asarray(probs)).all()
 
@@ -183,23 +181,3 @@ class TestAsPermutation:
         with pytest.raises(ValueError, match="non-empty"):
             as_permutation([])
 
-
-class TestSchedule:
-    def test_start_times(self):
-        sched = Schedule(np.array([1, 0, 2]), interval=0.5)
-        np.testing.assert_array_equal(sched.start_times, [0.0, 0.5, 1.0])
-        assert sched.n == 3
-
-    def test_default_interval(self):
-        np.testing.assert_array_equal(Schedule(np.array([0, 1])).start_times, [0.0, 1.0])
-
-    def test_rejects_bad_order_and_interval(self):
-        with pytest.raises(ValueError):
-            Schedule(np.array([0, 0]))
-        with pytest.raises(ValueError, match="interval"):
-            Schedule(np.array([0, 1]), interval=-1.0)
-
-    def test_equality(self):
-        assert Schedule(np.array([1, 0])) == Schedule(np.array([1, 0]))
-        assert Schedule(np.array([1, 0])) != Schedule(np.array([0, 1]))
-        assert Schedule(np.array([1, 0])) != Schedule(np.array([1, 0]), interval=2.0)

