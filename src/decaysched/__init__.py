@@ -7,7 +7,10 @@ evaluates service orders (success-count distribution, expected successes,
 all-success probability), finds optimal orders exhaustively or by provably
 optimal sorting strategies, and analyzes populations with uniform random
 initial probabilities (probability that no item decays to zero, by closed
-form, an exact order-statistics recursion, and Monte Carlo).
+form, an exact order-statistics recursion, and Monte Carlo).  Scenario
+documents (``scenario``) and decay heatmaps (``figure``) round out the
+library.  The command line lives in ``decaysched.cli`` and is not imported
+here; run it as ``decaysched`` or ``python -m decaysched``.
 """
 
 from .analysis import (
@@ -20,16 +23,6 @@ from .analysis import (
     prob_strongest_first_positive,
     prob_weakest_first_positive,
     stage_thresholds,
-)
-from .cli import (
-    FigureMatrix,
-    ScenarioConfig,
-    figure_csv,
-    figure_svg,
-    generate_figure_matrix,
-    main,
-    parse_scenario,
-    serialize_scenario,
 )
 from .decay import (
     AdditiveDecay,
@@ -47,6 +40,8 @@ from .distribution import (
     prob_all_success,
     success_count_pmf,
 )
+from .figure import FigureMatrix, figure_csv, figure_svg, generate_figure_matrix
+from .scenario import ScenarioConfig, parse_scenario, serialize_scenario
 from .scheduler import (
     BRUTE_FORCE_MAX_ITEMS,
     Objective,
@@ -95,13 +90,13 @@ __all__ = [
     "prob_positive_montecarlo",
     "positivity_report",
     "positivity_report_montecarlo",
-    # cli
+    # scenario
     "ScenarioConfig",
-    "FigureMatrix",
     "parse_scenario",
     "serialize_scenario",
+    # figure
+    "FigureMatrix",
     "generate_figure_matrix",
     "figure_csv",
     "figure_svg",
-    "main",
 ]

@@ -42,15 +42,9 @@ def linear_decay_sequence(rate: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AdditiveDecay:
-    """Additive decay: per-stage drops ``d_1..d_n`` (non-decreasing, >= 0).
-
-    ``interval`` (> 0) enters no computation: the drops already hold the
-    time dependence.  It is kept so that a scenario's ``interval`` field
-    round-trips through ``serialize_scenario``.
-    """
+    """Additive decay: per-stage drops ``d_1..d_n`` (non-decreasing, >= 0)."""
 
     decay_per_stage: np.ndarray
-    interval: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.array(self.decay_per_stage, dtype=np.float64)
@@ -63,15 +57,13 @@ class AdditiveDecay:
             raise ValueError(f"decay_per_stage[{i}] = {arr[i]} is negative")
         if (np.diff(arr) < 0.0).any():
             raise ValueError("decay_per_stage must be non-decreasing")
-        if not self.interval > 0.0:
-            raise ValueError(f"interval must be > 0, got {self.interval}")
         arr.flags.writeable = False
         object.__setattr__(self, "decay_per_stage", arr)
 
     @classmethod
-    def linear(cls, rate: float, n: int, interval: float = 1.0) -> "AdditiveDecay":
+    def linear(cls, rate: float, n: int) -> "AdditiveDecay":
         """Canonical linear case: the stage-``i`` drop is ``rate * (i - 1)``."""
-        return cls(linear_decay_sequence(rate, n), interval)
+        return cls(linear_decay_sequence(rate, n))
 
     @property
     def n(self) -> int:
@@ -80,10 +72,7 @@ class AdditiveDecay:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AdditiveDecay):
             return NotImplemented
-        return (
-            np.array_equal(self.decay_per_stage, other.decay_per_stage)
-            and self.interval == other.interval
-        )
+        return np.array_equal(self.decay_per_stage, other.decay_per_stage)
 
 
 @dataclass(frozen=True)

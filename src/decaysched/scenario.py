@@ -1,0 +1,167 @@
+"""Scenario documents: one service-ordering problem as JSON.
+
+Scenario files are JSON objects::
+
+    {
+      "probabilities": [0.8, 0.9, 0.7, 0.7],
+      "decay": {"type": "additive", "rate": 0.1},
+      "objective": "expected"
+    }
+
+``decay.type`` is ``additive`` (with ``rate`` >= 0, the per-stage linear
+step) or ``multiplicative`` (with ``factor`` strictly inside (0, 1)).
+``objective`` is optional and defaults to ``expected``.  A top-level
+``interval`` (> 0) is accepted and ignored, so older documents still load;
+``serialize_scenario`` does not write it.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .decay import AdditiveDecay, DecaySpec, MultiplicativeDecay, linear_decay_sequence
+from .distribution import ProbabilityVector, as_probability_vector
+from .scheduler import Objective
+
+__all__ = ["ScenarioConfig", "parse_scenario", "serialize_scenario"]
+
+
+@dataclass(frozen=True, eq=True)
+class ScenarioConfig:
+    """A service-ordering problem: initial probabilities, decay law, objective."""
+
+    probabilities: ProbabilityVector
+    decay: DecaySpec
+    objective: Objective = Objective.EXPECTED_SUCCESSES
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "probabilities", as_probability_vector(self.probabilities))
+        object.__setattr__(self, "objective", Objective(self.objective))
+        if not isinstance(self.decay, (AdditiveDecay, MultiplicativeDecay)):
+            raise TypeError(
+                f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(self.decay).__name__}"
+            )
+        if isinstance(self.decay, AdditiveDecay) and self.decay.n != self.probabilities.n:
+            raise ValueError(
+                f"decay has {self.decay.n} stages, expected {self.probabilities.n}"
+            )
+
+
+def _require_number(value: object, field_name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field_name} must be a number, got {value!r}")
+    # json reads NaN, Infinity and integers too large for a float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{field_name} must be a finite number, got {number}")
+    return number
+
+
+def parse_scenario(text: str) -> ScenarioConfig:
+    """Parse a scenario document (see module docstring for the format).
+
+    Every validation failure names the offending field, with the entry index
+    for per-item problems (e.g. ``probabilities[2] = 1.5 is outside [0, 1]``).
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"scenario document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("scenario document must be a JSON object")
+    unknown = set(doc) - {"probabilities", "decay", "interval", "objective"}
+    if unknown:
+        raise ValueError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
+
+    if "probabilities" not in doc:
+        raise ValueError("scenario is missing the 'probabilities' field")
+    raw_probs = doc["probabilities"]
+    if not isinstance(raw_probs, list) or not raw_probs:
+        raise ValueError("probabilities must be a non-empty array of numbers")
+    values = []
+    for i, raw in enumerate(raw_probs):
+        v = _require_number(raw, f"probabilities[{i}]")
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"probabilities[{i}] = {v} is outside [0, 1]")
+        values.append(v)
+    n = len(values)
+
+    # accepted for older documents; it enters no computation
+    if "interval" in doc:
+        interval = _require_number(doc["interval"], "interval")
+        if not interval > 0.0:
+            raise ValueError(f"interval must be > 0, got {interval}")
+
+    if "decay" not in doc:
+        raise ValueError("scenario is missing the 'decay' field")
+    raw_decay = doc["decay"]
+    if not isinstance(raw_decay, dict):
+        raise ValueError("decay must be an object with a 'type' field")
+    decay_type = raw_decay.get("type")
+    if decay_type == "additive":
+        extra = set(raw_decay) - {"type", "rate"}
+        if extra:
+            raise ValueError(f"unknown additive decay field(s): {', '.join(sorted(extra))}")
+        if "rate" not in raw_decay:
+            raise ValueError("additive decay requires a 'rate' field")
+        rate = _require_number(raw_decay["rate"], "decay.rate")
+        if rate < 0.0:
+            raise ValueError(f"decay.rate = {rate} is negative")
+        decay: DecaySpec = AdditiveDecay.linear(rate, n)
+    elif decay_type == "multiplicative":
+        extra = set(raw_decay) - {"type", "factor"}
+        if extra:
+            raise ValueError(f"unknown multiplicative decay field(s): {', '.join(sorted(extra))}")
+        if "factor" not in raw_decay:
+            raise ValueError("multiplicative decay requires a 'factor' field")
+        factor = _require_number(raw_decay["factor"], "decay.factor")
+        if not 0.0 < factor < 1.0:
+            raise ValueError(
+                f"decay.factor = {factor} is outside the open interval (0, 1)"
+            )
+        decay = MultiplicativeDecay(factor)
+    else:
+        raise ValueError(
+            f"decay.type must be 'additive' or 'multiplicative', got {decay_type!r}"
+        )
+
+    objective = Objective.EXPECTED_SUCCESSES
+    if "objective" in doc:
+        try:
+            objective = Objective(doc["objective"])
+        except ValueError:
+            raise ValueError(
+                f"objective must be 'expected' or 'all', got {doc['objective']!r}"
+            ) from None
+
+    return ScenarioConfig(ProbabilityVector(np.array(values)), decay, objective)
+
+
+def serialize_scenario(config: ScenarioConfig) -> str:
+    """Render a ScenarioConfig as a scenario document; exact round-trip.
+
+    Only linear additive decay sequences are representable (the format stores
+    a single rate); arbitrary non-decreasing sequences are rejected.
+    """
+    doc: dict[str, object] = {
+        "probabilities": [float(p) for p in config.probabilities],
+        "objective": config.objective.value,
+    }
+    if isinstance(config.decay, AdditiveDecay):
+        d = config.decay.decay_per_stage
+        rate = float(d[1] - d[0]) if d.size > 1 else 0.0
+        if not np.array_equal(d, linear_decay_sequence(rate, d.size)):
+            raise ValueError(
+                "only linear additive decay sequences can be serialized to the scenario format"
+            )
+        doc["decay"] = {"type": "additive", "rate": rate}
+    else:
+        doc["decay"] = {"type": "multiplicative", "factor": config.decay.factor}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

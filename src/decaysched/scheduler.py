@@ -10,7 +10,7 @@ combination.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -56,25 +56,26 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ScheduleMetrics:
-    """Success metrics of one evaluated service order."""
+    """Success metrics of one evaluated service order.
 
-    expected_successes: float
-    prob_all_success: float
-    pmf: SuccessCountPmf
+    Built from the at-processing-time probabilities alone; the other three
+    fields are computed from them: ``expected_successes`` is their sum,
+    ``prob_all_success`` their product and ``pmf`` the success-count
+    distribution.  The pmf's mean and top entry match the first two up to
+    rounding that grows with n.
+    """
+
+    stage_probabilities: ProbabilityVector
+    expected_successes: float = field(init=False)
+    prob_all_success: float = field(init=False)
+    pmf: SuccessCountPmf = field(init=False)
 
     def __post_init__(self) -> None:
-        if abs(self.expected_successes - self.pmf.mean()) > 1e-10:
-            raise ValueError("expected_successes disagrees with the pmf mean")
-        if abs(self.prob_all_success - self.pmf[self.pmf.n]) > 1e-12:
-            raise ValueError("prob_all_success disagrees with the pmf top entry")
-
-    @classmethod
-    def from_stage_probabilities(cls, p1: ProbabilityVector) -> "ScheduleMetrics":
-        return cls(
-            expected_successes=expected_successes(p1),
-            prob_all_success=prob_all_success(p1),
-            pmf=success_count_pmf(p1),
-        )
+        p1 = as_probability_vector(self.stage_probabilities)
+        object.__setattr__(self, "stage_probabilities", p1)
+        object.__setattr__(self, "expected_successes", expected_successes(p1))
+        object.__setattr__(self, "prob_all_success", prob_all_success(p1))
+        object.__setattr__(self, "pmf", success_count_pmf(p1))
 
     def value(self, objective: Objective) -> float:
         if Objective(objective) is Objective.EXPECTED_SUCCESSES:
@@ -113,7 +114,7 @@ def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
     pv = as_probability_vector(p0)
     perm = as_permutation(order, n=pv.n)
     p1 = ProbabilityVector(_decayed(pv.probs[perm], np.arange(pv.n), decay))
-    return ScheduleMetrics.from_stage_probabilities(p1)
+    return ScheduleMetrics(p1)
 
 
 def brute_force_optimal(p0, decay: DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:

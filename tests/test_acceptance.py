@@ -153,7 +153,7 @@ def test_criterion_6_optimality_properties():
 def test_criterion_7_figure_matrix_reproduction():
     ok = True
     for seed in range(20):
-        matrix = generate_figure_matrix(seed=seed, n=13, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(REFERENCE_MODEL, seed)
         p0 = matrix.initial_probabilities.probs
         want = np.maximum(p0[None, :] - 0.06 * np.arange(13)[:, None], 0.0)
         ok = (
@@ -163,6 +163,6 @@ def test_criterion_7_figure_matrix_reproduction():
             and (np.diff(matrix.cells, axis=0) <= 0.0).all()
         )
     golden = (DATA_DIR / "figure_seed1729.csv").read_text()
-    pinned = generate_figure_matrix(seed=1729, n=13, c=0.06, a=0.5, b=1.0)
+    pinned = generate_figure_matrix(REFERENCE_MODEL, 1729)
     ok = ok and figure_csv(pinned) == golden
     _verdict(7, "figure matrix reproduction", ok)

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -60,10 +61,12 @@ class TestParseScenario:
         assert config.objective is Objective.PROB_ALL_SUCCESS
 
     def test_interval_is_applied(self):
-        config = parse_scenario(
-            '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.0}, "interval": 2.5}'
-        )
-        assert config.decay.interval == 2.5
+        # interval is accepted for older documents and enters no computation
+        document = '{"probabilities": [0.5, 0.7], "decay": {"type": "additive", "rate": 0.1}%s}'
+        configs = [parse_scenario(document % extra)
+                   for extra in ('', ', "interval": 1.0', ', "interval": 2.5')]
+        assert configs[0] == configs[1] == configs[2]
+        assert "interval" not in serialize_scenario(configs[2])
 
     def test_rejects_empty_probabilities(self):
         with pytest.raises(ValueError, match="probabilities"):
@@ -159,7 +162,7 @@ class TestScenarioRoundTrip:
         ScenarioConfig(ProbabilityVector(np.array([0.5])), AdditiveDecay.linear(0.0, 1)),
         ScenarioConfig(
             ProbabilityVector(np.array([0.2, 0.4])),
-            AdditiveDecay.linear(0.07, 2, interval=2.5),
+            AdditiveDecay.linear(0.07, 2),
             Objective.PROB_ALL_SUCCESS,
         ),
         ScenarioConfig(ProbabilityVector(np.array([1.0, 0.0])), MultiplicativeDecay(0.37)),
@@ -173,17 +176,12 @@ class TestScenarioRoundTrip:
     @given(
         probs=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8),
         rate=st.floats(0.0, 1.0, allow_nan=False),
-        interval=st.floats(0.1, 10.0, allow_nan=False),
         objective=st.sampled_from(list(Objective)),
         multiplicative=st.booleans(),
         factor=st.floats(0.001, 0.999, allow_nan=False),
     )
-    def test_round_trip_property(self, probs, rate, interval, objective, multiplicative, factor):
-        decay = (
-            MultiplicativeDecay(factor)
-            if multiplicative
-            else AdditiveDecay.linear(rate, len(probs), interval)
-        )
+    def test_round_trip_property(self, probs, rate, objective, multiplicative, factor):
+        decay = MultiplicativeDecay(factor) if multiplicative else AdditiveDecay.linear(rate, len(probs))
         config = ScenarioConfig(ProbabilityVector(np.array(probs)), decay, objective)
         assert parse_scenario(serialize_scenario(config)) == config
 
@@ -200,9 +198,13 @@ class TestScenarioRoundTrip:
             ScenarioConfig(ProbabilityVector(np.array([0.5, 0.5])), AdditiveDecay.linear(0.1, 3))
 
 
+def figure_model(n, decay_step=0.06, low=0.5, high=1.0):
+    return PopulationModel(n=n, low=low, high=high, decay_step=decay_step)
+
+
 class TestFigureMatrix:
     def test_reference_shape_and_corners(self):
-        matrix = generate_figure_matrix(seed=0, n=13, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(13), seed=0)
         assert matrix.cells.shape == (13, 13)
         # strongest item served first keeps its raw draw
         assert 0.5 < matrix.cells[0, 12] < 1.0
@@ -212,12 +214,12 @@ class TestFigureMatrix:
         assert matrix.cells[12, 0] == 0.0  # weakest item after 12 stages of decay
 
     def test_zero_decay_repeats_first_row(self):
-        matrix = generate_figure_matrix(seed=4, n=5, c=0.0, a=0.2, b=0.8)
+        matrix = generate_figure_matrix(figure_model(5, decay_step=0.0, low=0.2, high=0.8), seed=4)
         for i in range(5):
             np.testing.assert_array_equal(matrix.cells[i], matrix.cells[0])
 
     def test_diagonal_product_equals_weakest_first_all_success(self):
-        matrix = generate_figure_matrix(seed=11, n=7, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(7), seed=11)
         p0 = matrix.initial_probabilities
         decay = AdditiveDecay.linear(0.06, 7)
         metrics = evaluate_order(p0, sort_order(p0, "ascending"), decay)
@@ -226,7 +228,7 @@ class TestFigureMatrix:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_invariants_for_many_seeds(self, seed):
-        matrix = generate_figure_matrix(seed=seed, n=13, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(13), seed=seed)
         p0 = matrix.initial_probabilities.probs
         want = np.maximum(p0[None, :] - 0.06 * np.arange(13)[:, None], 0.0)
         np.testing.assert_array_equal(matrix.cells, want)
@@ -234,41 +236,34 @@ class TestFigureMatrix:
         assert (np.diff(matrix.cells, axis=0) <= 0.0).all()  # fading across stages
 
     def test_generation_is_deterministic_per_seed(self):
-        a = generate_figure_matrix(seed=9, n=6, c=0.06, a=0.5, b=1.0)
-        b = generate_figure_matrix(seed=9, n=6, c=0.06, a=0.5, b=1.0)
+        a = generate_figure_matrix(figure_model(6), seed=9)
+        b = generate_figure_matrix(figure_model(6), seed=9)
         np.testing.assert_array_equal(a.cells, b.cells)
 
     def test_invalid_parameters(self):
+        # the population model checks the figure's parameters once
         with pytest.raises(ValueError, match="bounds"):
-            generate_figure_matrix(seed=0, n=3, c=0.1, a=0.9, b=0.5)
+            figure_model(3, decay_step=0.1, low=0.9, high=0.5)
         with pytest.raises(ValueError, match="bounds"):
-            generate_figure_matrix(seed=0, n=3, c=0.1, a=0.5, b=1.5)
+            figure_model(3, decay_step=0.1, high=1.5)
         with pytest.raises(ValueError, match="positive integer"):
-            generate_figure_matrix(seed=0, n=0, c=0.1, a=0.5, b=1.0)
-        with pytest.raises(ValueError, match="decay step"):
-            generate_figure_matrix(seed=0, n=3, c=-0.1, a=0.5, b=1.0)
-
-    def test_constructor_rejects_tampered_cells(self):
-        matrix = generate_figure_matrix(seed=2, n=4, c=0.06, a=0.5, b=1.0)
-        tampered = matrix.cells.copy()
-        tampered[0, 0] += 1e-9
-        with pytest.raises(ValueError, match="cells"):
-            FigureMatrix(tampered, matrix.initial_probabilities, matrix.decay_step)
+            figure_model(0, decay_step=0.1)
+        with pytest.raises(ValueError, match=r"decay_step must be a finite number >= 0, got -0\.1"):
+            figure_model(3, decay_step=-0.1)
+        pv = ProbabilityVector(np.array([0.2, 0.9]))
+        for step in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="decay rate must be a finite number >= 0"):
+                FigureMatrix(pv, step)
 
     def test_constructor_rejects_unsorted_probabilities(self):
-        pv = ProbabilityVector(np.array([0.9, 0.2]))
-        cells = np.maximum(pv.probs[None, :] - 0.1 * np.arange(2)[:, None], 0.0)
         with pytest.raises(ValueError, match="ascending"):
-            FigureMatrix(cells, pv, 0.1)
+            FigureMatrix(ProbabilityVector(np.array([0.9, 0.2])), 0.1)
 
 
 class TestFigureRendering:
     def hand_matrix(self):
-        return FigureMatrix(
-            np.array([[0.25, 0.75], [0.0, 0.25]]),
-            ProbabilityVector(np.array([0.25, 0.75])),
-            0.5,
-        )
+        # cells [[0.25, 0.75], [0.0, 0.25]]
+        return FigureMatrix(ProbabilityVector(np.array([0.25, 0.75])), 0.5)
 
     def test_csv_fixed_precision(self):
         assert figure_csv(self.hand_matrix()) == "0.250000,0.750000\n0.000000,0.250000\n"
@@ -278,7 +273,7 @@ class TestFigureRendering:
         assert figure_csv(self.hand_matrix(), header=True) == want
 
     def test_csv_golden_file(self):
-        matrix = generate_figure_matrix(seed=1729, n=13, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(13), seed=1729)
         golden = (DATA_DIR / "figure_seed1729.csv").read_text()
         assert figure_csv(matrix) == golden
 
@@ -297,7 +292,7 @@ class TestFigureRendering:
         assert 'width="6.000"' in svg and 'fill="rgb(191,191,191)"' in svg
 
     def test_svg_deterministic(self):
-        matrix = generate_figure_matrix(seed=5, n=6, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(6), seed=5)
         assert figure_svg(matrix) == figure_svg(matrix)
 
 
@@ -609,14 +604,14 @@ class TestCliFigure:
         )
         assert code == 0
         assert out == ""
-        matrix = generate_figure_matrix(seed=3, n=5, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(5), seed=3)
         assert csv_path.read_text() == figure_csv(matrix)
         assert svg_path.read_text() == figure_svg(matrix)
 
     def test_stdout_csv_when_no_out(self, capsys):
         code, out, _ = run_cli(["figure", "--seed", "3", "--n", "4", "--header"], capsys)
         assert code == 0
-        matrix = generate_figure_matrix(seed=3, n=4, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(4), seed=3)
         assert out == figure_csv(matrix, header=True)
 
     def test_structured_payload_round_trips_cells(self, capsys):
@@ -625,7 +620,7 @@ class TestCliFigure:
         )
         assert code == 0
         payload = json.loads(out)
-        matrix = generate_figure_matrix(seed=6, n=4, c=0.06, a=0.5, b=1.0)
+        matrix = generate_figure_matrix(figure_model(4), seed=6)
         assert payload["cells"] == [[float(v) for v in row] for row in matrix.cells]
         assert payload["initial_probabilities"] == [float(p) for p in matrix.initial_probabilities]
 
@@ -643,10 +638,11 @@ class TestCliFigure:
     @pytest.mark.parametrize(
         "decay,message",
         [
-            ("inf", "decay rate must be a finite number >= 0, got inf"),
+            ("inf", "decay_step must be a finite number >= 0, got inf"),
+            ("-1", "decay_step must be a finite number >= 0, got -1.0"),
             ("1e308", "decay_per_stage entries must be finite"),  # overflows at stage 2
         ],
-        ids=["inf", "1e308"],
+        ids=["inf", "minus-1", "1e308"],
     )
     def test_non_finite_decay_is_one_error_line(self, decay, message, capsys):
         code, out, err = run_cli(["figure", "--decay", decay], capsys)
@@ -728,3 +724,44 @@ print(json.dumps(seen))
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert set(seen) == {"import", "positivity", "simulate", "evaluate", "optimize", "figure"}
         assert seen == dict.fromkeys(seen, [])
+
+    def test_library_does_not_import_the_cli(self):
+        # run_module is how ``python -m`` runs a module, and it warns if the
+        # package has already imported it
+        script = """
+import json, runpy, sys
+import decaysched
+print(json.dumps(sorted({"argparse", "decaysched.cli"} & set(sys.modules))), flush=True)
+sys.argv = ["decaysched", "positivity"]
+runpy.run_module("decaysched.cli", run_name="__main__", alter_sys=True)
+"""
+        src = str(Path(decaysched.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        leaked, report = proc.stdout.split("\n", 1)
+        assert json.loads(leaked) == []
+        assert report.startswith("n: 13\n")
+
+    def test_only_the_cli_imports_argparse(self):
+        importers = {"argparse": set(), "cli": set()}
+        for path in Path(decaysched.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = "." * node.level + (node.module or "")
+                    sep = "." if node.module else ""
+                    names = [base] + [base + sep + alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[0] == "argparse" for name in names):
+                    importers["argparse"].add(path.name)
+                if any(name in (".cli", "decaysched.cli") for name in names):
+                    importers["cli"].add(path.name)
+        assert importers == {"argparse": {"cli.py"}, "cli": {"__main__.py"}}

@@ -48,7 +48,6 @@ class TestAdditiveDecay:
     def test_linear_constructor(self):
         decay = AdditiveDecay.linear(0.1, 4)
         np.testing.assert_array_equal(decay.decay_per_stage, [0.0, 0.1, 0.2, 0.30000000000000004])
-        assert decay.interval == 1.0
         assert decay.n == 4
 
     def test_accepts_general_nondecreasing_sequence(self):
@@ -63,10 +62,6 @@ class TestAdditiveDecay:
         with pytest.raises(ValueError, match=r"decay_per_stage\[0\]"):
             AdditiveDecay(np.array([-0.1, 0.0]))
 
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError, match="interval"):
-            AdditiveDecay(np.array([0.0, 0.1]), interval=0.0)
-
     def test_sequence_is_frozen(self):
         decay = AdditiveDecay.linear(0.1, 3)
         with pytest.raises(ValueError):
@@ -75,7 +70,6 @@ class TestAdditiveDecay:
     def test_equality(self):
         assert AdditiveDecay.linear(0.1, 3) == AdditiveDecay.linear(0.1, 3)
         assert AdditiveDecay.linear(0.1, 3) != AdditiveDecay.linear(0.2, 3)
-        assert AdditiveDecay.linear(0.1, 3) != AdditiveDecay.linear(0.1, 3, interval=2.0)
         assert AdditiveDecay.linear(0.1, 3) != MultiplicativeDecay(0.5)
 
 
