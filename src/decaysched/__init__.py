@@ -19,7 +19,6 @@ from .analysis import (
     active_thresholds,
     positivity_report,
     positivity_report_montecarlo,
-    prob_positive_montecarlo,
     prob_strongest_first_positive,
     prob_weakest_first_positive,
     stage_thresholds,
@@ -87,7 +86,6 @@ __all__ = [
     "active_thresholds",
     "prob_strongest_first_positive",
     "prob_weakest_first_positive",
-    "prob_positive_montecarlo",
     "positivity_report",
     "positivity_report_montecarlo",
     # scenario

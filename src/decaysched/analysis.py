@@ -36,7 +36,6 @@ __all__ = [
     "active_thresholds",
     "prob_strongest_first_positive",
     "prob_weakest_first_positive",
-    "prob_positive_montecarlo",
     "positivity_report",
     "positivity_report_montecarlo",
 ]
@@ -78,15 +77,16 @@ class PositivityReport:
     ``method`` records how the weakest-first value was obtained ("analytic"
     when no threshold is active and both values are exactly 1, "recursion"
     otherwise, "montecarlo" when simulated); the strongest-first value is
-    closed form whenever the method is deterministic.  ``std_error`` is zero
-    for deterministic methods and the larger of the two per-strategy binomial
-    standard errors for Monte Carlo.
+    closed form whenever the method is deterministic.  Each strategy's
+    standard error is zero for deterministic methods and its binomial
+    standard error for Monte Carlo.
     """
 
     prob_strongest_first_positive: float
     prob_weakest_first_positive: float
     method: str
-    std_error: float = 0.0
+    strongest_first_std_error: float = 0.0
+    weakest_first_std_error: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.prob_strongest_first_positive <= 1.0):
@@ -95,10 +95,12 @@ class PositivityReport:
             raise ValueError("prob_weakest_first_positive must be in [0, 1]")
         if self.method not in ("analytic", "recursion", "montecarlo"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.std_error < 0.0:
-            raise ValueError("std_error must be >= 0")
-        if self.std_error > 0.0 and self.method != "montecarlo":
-            raise ValueError("std_error must be 0 for deterministic methods")
+        for name in ("strongest_first_std_error", "weakest_first_std_error"):
+            std_error = getattr(self, name)
+            if std_error < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+            if std_error > 0.0 and self.method != "montecarlo":
+                raise ValueError(f"{name} must be 0 for deterministic methods")
 
 
 def stage_thresholds(model: PopulationModel) -> np.ndarray:
@@ -231,24 +233,6 @@ def _simulate(
     return estimate(ascending), estimate(descending)
 
 
-def prob_positive_montecarlo(
-    model: PopulationModel, strategy: str, trials: int, seed: int
-) -> tuple[float, float]:
-    """Simulated positivity probability and its binomial standard error.
-
-    Each trial draws ``n`` values i.i.d. Uniform(low, high), serves them
-    ascending or descending per ``strategy``, applies the per-stage decay with
-    clamping, and counts the trial a success when every at-processing-time
-    probability stays strictly positive.  Bit-reproducible for a given
-    ``(model, strategy, trials, seed)``: draws come from a PCG64 generator
-    seeded explicitly, consumed in a fixed order regardless of blocking.
-    """
-    if strategy not in ("ascending", "descending"):
-        raise ValueError(f"strategy must be 'ascending' or 'descending', got {strategy!r}")
-    weakest, strongest = _simulate(model, trials, seed)
-    return strongest if strategy == "descending" else weakest
-
-
 def positivity_report(model: PopulationModel) -> PositivityReport:
     """Deterministic report: closed-form strongest-first, exact recursion weakest-first."""
     strongest = prob_strongest_first_positive(model)
@@ -261,6 +245,12 @@ def positivity_report(model: PopulationModel) -> PositivityReport:
 def positivity_report_montecarlo(
     model: PopulationModel, trials: int, seed: int
 ) -> PositivityReport:
-    """Simulated report; both strategies are counted on the same draws."""
+    """Simulated report, with each strategy's binomial standard error.
+
+    Both strategies are counted on the same ``trials`` draws of ``n``
+    values.  Bit-reproducible for a given ``(model, trials, seed)``: draws
+    come from a PCG64 generator seeded explicitly, consumed in a fixed order
+    regardless of blocking.
+    """
     (est_w, se_w), (est_s, se_s) = _simulate(model, trials, seed)
-    return PositivityReport(est_s, est_w, method="montecarlo", std_error=max(se_s, se_w))
+    return PositivityReport(est_s, est_w, "montecarlo", se_s, se_w)

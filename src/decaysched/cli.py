@@ -26,11 +26,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import analysis
-from .decay import as_permutation, stage_probabilities
-from .distribution import expected_successes, prob_all_success
 from .figure import figure_csv, figure_svg, generate_figure_matrix
 from .scenario import ScenarioConfig, parse_scenario
-from .scheduler import Objective, brute_force_optimal, recommended_order, sort_order
+from .scheduler import Objective, brute_force_optimal, evaluate_order, recommended_order, sort_order
 
 __all__ = ["build_parser", "main"]
 
@@ -67,20 +65,19 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return parse_scenario(Path(args.scenario).read_text())
 
 
-def _resolve_order(spec: str, config: ScenarioConfig) -> np.ndarray:
-    n = config.probabilities.n
+def _resolve_order(spec: str, config: ScenarioConfig) -> np.ndarray | list[int]:
+    """The order ``spec`` names; explicit indices are validated by ``evaluate_order``."""
     if spec == "identity":
-        return np.arange(n)
+        return np.arange(config.probabilities.n)
     if spec in ("ascending", "descending"):
         return sort_order(config.probabilities, spec)
     try:
-        indices = [int(token) for token in spec.split(",")]
+        return [int(token) for token in spec.split(",")]
     except ValueError:
         raise ValueError(
             "--order must be 'identity', 'ascending', 'descending', or "
             f"comma-separated 0-based indices, got {spec!r}"
         ) from None
-    return as_permutation(indices, n=n)
 
 
 def _population(args: argparse.Namespace) -> analysis.PopulationModel:
@@ -92,13 +89,13 @@ def _population(args: argparse.Namespace) -> analysis.PopulationModel:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_scenario(args)
     order = _resolve_order(args.order, config)
-    p1 = stage_probabilities(config.probabilities.probs[order], config.decay)
+    metrics = evaluate_order(config.probabilities, order, config.decay)
     _emit(
         {
             "order": [int(i) for i in order],
-            "stage_probabilities": [float(v) for v in p1],
-            "expected_successes": expected_successes(p1),
-            "prob_all_success": prob_all_success(p1),
+            "stage_probabilities": [float(v) for v in metrics.stage_probabilities],
+            "expected_successes": metrics.expected_successes,
+            "prob_all_success": metrics.prob_all_success,
         },
         args.format,
     )
@@ -117,15 +114,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     else:
         strategy = recommended_order(config.decay, objective)
         payload["strategy"] = strategy
-        if strategy == "any":
-            order = np.arange(config.probabilities.n)
-        else:
-            order = sort_order(config.probabilities, strategy)
-        p1 = stage_probabilities(config.probabilities.probs[order], config.decay)
-        if objective is Objective.PROB_ALL_SUCCESS:
-            value = prob_all_success(p1)
-        else:
-            value = expected_successes(p1)
+        order = _resolve_order("identity" if strategy == "any" else strategy, config)
+        value = evaluate_order(config.probabilities, order, config.decay).value(objective)
     payload["order"] = [int(i) for i in order]
     payload["value"] = float(value)
     _emit(payload, args.format)
@@ -140,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"--trials must be at most {limit} at --n {model.n} "
             f"({_MAX_SIMULATED_DRAWS} draws in all), got {args.trials}"
         )
-    (est_w, se_w), (est_s, se_s) = analysis._simulate(model, args.trials, args.seed)
+    report = analysis.positivity_report_montecarlo(model, args.trials, args.seed)
     _emit(
         {
             "n": model.n,
@@ -149,11 +139,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "decay_step": model.decay_step,
             "trials": args.trials,
             "seed": args.seed,
-            "method": "montecarlo",
-            "weakest_first_estimate": est_w,
-            "weakest_first_std_error": se_w,
-            "strongest_first_estimate": est_s,
-            "strongest_first_std_error": se_s,
+            "method": report.method,
+            "weakest_first_estimate": report.prob_weakest_first_positive,
+            "weakest_first_std_error": report.weakest_first_std_error,
+            "strongest_first_estimate": report.prob_strongest_first_positive,
+            "strongest_first_std_error": report.strongest_first_std_error,
         },
         args.format,
     )
@@ -224,25 +214,33 @@ def _add_scenario_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _population_size(limit: int):
-    """argparse type for ``--n``: an integer no larger than ``limit``."""
+def _bounded_int(minimum: int | None = None, maximum: int | None = None):
+    """argparse type: an integer within the given bounds; ``None`` leaves that side unbounded."""
 
     def parse(text: str) -> int:
         try:
-            n = int(text)
+            value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n > limit:
-            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {n}")
-        return n
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+        return value
 
     return parse
+
+
+def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--seed", type=_bounded_int(minimum=0), default=0, help="RNG seed, >= 0 (default: 0)"
+    )
 
 
 def _add_population_flags(parser: argparse.ArgumentParser, max_n: int) -> None:
     parser.add_argument(
         "--n",
-        type=_population_size(max_n),
+        type=_bounded_int(maximum=max_n),
         default=13,
         help=f"population size, at most {max_n} (default: 13)",
     )
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"Monte Carlo trials, with trials * n at most {_MAX_SIMULATED_DRAWS} "
         "(default: 100000)",
     )
-    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    _add_seed_flag(p_sim)
     _add_format_flag(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser(
         "figure", help="stage-by-item probability matrix as CSV and/or SVG heatmap"
     )
-    p_fig.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    _add_seed_flag(p_fig)
     _add_population_flags(p_fig, _MAX_FIGURE_N)
     p_fig.add_argument(
         "--out",

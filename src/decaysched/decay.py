@@ -63,7 +63,10 @@ class AdditiveDecay:
     @classmethod
     def linear(cls, rate: float, n: int) -> "AdditiveDecay":
         """Canonical linear case: the stage-``i`` drop is ``rate * (i - 1)``."""
-        return cls(linear_decay_sequence(rate, n))
+        drops = linear_decay_sequence(rate, n)
+        if not np.isfinite(drops[-1]):
+            raise ValueError(f"decay rate {rate} overflows over {n} stages")
+        return cls(drops)
 
     @property
     def n(self) -> int:

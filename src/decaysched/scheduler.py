@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
 from . import _kernels
-from .decay import AdditiveDecay, DecaySpec, MultiplicativeDecay, _decayed, as_permutation
+from .decay import (
+    AdditiveDecay,
+    DecaySpec,
+    MultiplicativeDecay,
+    _decayed,
+    as_permutation,
+    stage_probabilities,
+)
 from .distribution import (
     ProbabilityVector,
     SuccessCountPmf,
@@ -58,24 +66,26 @@ class Objective(enum.Enum):
 class ScheduleMetrics:
     """Success metrics of one evaluated service order.
 
-    Built from the at-processing-time probabilities alone; the other three
-    fields are computed from them: ``expected_successes`` is their sum,
-    ``prob_all_success`` their product and ``pmf`` the success-count
-    distribution.  The pmf's mean and top entry match the first two up to
-    rounding that grows with n.
+    Built from the at-processing-time probabilities alone; the other fields
+    are computed from them: ``expected_successes`` (their sum) and
+    ``prob_all_success`` (their product) at once, and ``pmf``, the O(n^2)
+    success-count distribution, on first read.  The pmf's mean and top
+    entry match the first two up to rounding that grows with n.
     """
 
     stage_probabilities: ProbabilityVector
     expected_successes: float = field(init=False)
     prob_all_success: float = field(init=False)
-    pmf: SuccessCountPmf = field(init=False)
 
     def __post_init__(self) -> None:
         p1 = as_probability_vector(self.stage_probabilities)
         object.__setattr__(self, "stage_probabilities", p1)
         object.__setattr__(self, "expected_successes", expected_successes(p1))
         object.__setattr__(self, "prob_all_success", prob_all_success(p1))
-        object.__setattr__(self, "pmf", success_count_pmf(p1))
+
+    @cached_property
+    def pmf(self) -> SuccessCountPmf:
+        return success_count_pmf(self.stage_probabilities)
 
     def value(self, objective: Objective) -> float:
         if Objective(objective) is Objective.EXPECTED_SUCCESSES:
@@ -113,8 +123,7 @@ def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
     """
     pv = as_probability_vector(p0)
     perm = as_permutation(order, n=pv.n)
-    p1 = ProbabilityVector(_decayed(pv.probs[perm], np.arange(pv.n), decay))
-    return ScheduleMetrics(p1)
+    return ScheduleMetrics(stage_probabilities(pv.probs[perm], decay))
 
 
 def brute_force_optimal(p0, decay: DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:

@@ -54,7 +54,7 @@ def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
     if m > MAX_QUADRATURE_DIMENSION:
         raise QuadratureDimensionError(
             f"{m} active thresholds exceed the {MAX_QUADRATURE_DIMENSION}-axis quadrature "
-            f"limit; use prob_positive_montecarlo instead"
+            f"limit; use positivity_report_montecarlo instead"
         )
     thresholds = [t for _, t in active]
     n, a, b = model.n, model.low, model.high

@@ -20,7 +20,7 @@ from decaysched import (
     evaluate_order,
     figure_csv,
     generate_figure_matrix,
-    prob_positive_montecarlo,
+    positivity_report_montecarlo,
     prob_strongest_first_positive,
     sort_order,
     success_count_pmf,
@@ -78,11 +78,12 @@ def test_criterion_3_quadrature_positivity():
 
 def test_criterion_4_monte_carlo_cross_check():
     weakest_ref = prob_weakest_first_positive_quadrature(REFERENCE_MODEL)
-    est_w, se_w = prob_positive_montecarlo(REFERENCE_MODEL, "ascending", MC_TRIALS, MC_SEED)
-    est_s, se_s = prob_positive_montecarlo(REFERENCE_MODEL, "descending", MC_TRIALS, MC_SEED)
+    report = positivity_report_montecarlo(REFERENCE_MODEL, MC_TRIALS, MC_SEED)
     ok = (
-        abs(est_w - weakest_ref) <= 4.0 * se_w
-        and abs(est_s - REFERENCE_STRONGEST) <= 4.0 * se_s
+        abs(report.prob_weakest_first_positive - weakest_ref)
+        <= 4.0 * report.weakest_first_std_error
+        and abs(report.prob_strongest_first_positive - REFERENCE_STRONGEST)
+        <= 4.0 * report.strongest_first_std_error
     )
     _verdict(4, "monte-carlo cross-check", ok)
 

@@ -20,7 +20,6 @@ from decaysched import (
     active_thresholds,
     positivity_report,
     positivity_report_montecarlo,
-    prob_positive_montecarlo,
     prob_strongest_first_positive,
     prob_weakest_first_positive,
     stage_thresholds,
@@ -169,7 +168,8 @@ class TestWeakestFirstQuadrature:
         model = PopulationModel(n=6, low=0.0, high=1.0, decay_step=0.16)
         assert len(active_thresholds(model)) == 5
         exact = prob_weakest_first_positive_quadrature(model)
-        est, se = prob_positive_montecarlo(model, "ascending", 200_000, 8)
+        report = positivity_report_montecarlo(model, 200_000, 8)
+        est, se = report.prob_weakest_first_positive, report.weakest_first_std_error
         assert abs(est - exact) <= 5.0 * se
 
 
@@ -289,7 +289,8 @@ class TestWeakestFirstRecursion:
     def test_beyond_quadrature_agrees_with_montecarlo(self, model, trials):
         assert len(active_thresholds(model)) > MAX_QUADRATURE_DIMENSION
         exact = prob_weakest_first_positive(model)
-        est, se = prob_positive_montecarlo(model, "ascending", trials, 31)
+        report = positivity_report_montecarlo(model, trials, 31)
+        est, se = report.prob_weakest_first_positive, report.weakest_first_std_error
         assert 0.0 < se
         assert abs(est - exact) <= 5.0 * se
 
@@ -314,8 +315,8 @@ class TestWeakestFirstRecursion:
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
-        a = prob_positive_montecarlo(REFERENCE_MODEL, "ascending", 20_000, 123)
-        b = prob_positive_montecarlo(REFERENCE_MODEL, "ascending", 20_000, 123)
+        a = positivity_report_montecarlo(REFERENCE_MODEL, 20_000, 123)
+        b = positivity_report_montecarlo(REFERENCE_MODEL, 20_000, 123)
         assert a == b
 
     def test_chunking_does_not_change_the_stream(self, monkeypatch):
@@ -328,12 +329,11 @@ class TestMonteCarlo:
             (mixed, 1_001, 999),
             (mixed, 1_001, 1),
         ):
-            for strategy in ("ascending", "descending"):
-                before = prob_positive_montecarlo(model, strategy, trials, 3)
-                with monkeypatch.context() as patch:
-                    patch.setattr(analysis, "_MC_ELEMENTS", elements)
-                    after = prob_positive_montecarlo(model, strategy, trials, 3)
-                assert before == after
+            before = positivity_report_montecarlo(model, trials, 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_MC_ELEMENTS", elements)
+                after = positivity_report_montecarlo(model, trials, 3)
+            assert before == after
 
     def test_block_memory_does_not_grow_with_n(self):
         # 20,000 trials of 1,000 draws in one block would take 160 MB
@@ -348,36 +348,44 @@ class TestMonteCarlo:
 
     def test_agrees_with_closed_form_strongest(self):
         model = PopulationModel(n=2, low=0.0, high=1.0, decay_step=0.3)
-        est, se = prob_positive_montecarlo(model, "descending", 100_000, 17)
+        report = positivity_report_montecarlo(model, 100_000, 17)
+        est, se = report.prob_strongest_first_positive, report.strongest_first_std_error
         assert abs(est - 0.49) <= 5.0 * se
 
     def test_agrees_with_quadrature_weakest(self):
         model = PopulationModel(n=2, low=0.0, high=1.0, decay_step=0.3)
-        est, se = prob_positive_montecarlo(model, "ascending", 100_000, 17)
+        report = positivity_report_montecarlo(model, 100_000, 17)
+        est, se = report.prob_weakest_first_positive, report.weakest_first_std_error
         assert abs(est - 0.91) <= 5.0 * se
 
     def test_certain_positivity(self):
         model = PopulationModel(n=4, low=0.5, high=1.0, decay_step=0.0)
-        est, se = prob_positive_montecarlo(model, "ascending", 1_000, 0)
-        assert est == 1.0
-        assert se == 0.0
+        report = positivity_report_montecarlo(model, 1_000, 0)
+        assert report.prob_weakest_first_positive == report.prob_strongest_first_positive == 1.0
+        assert report.weakest_first_std_error == report.strongest_first_std_error == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="strategy"):
-            prob_positive_montecarlo(REFERENCE_MODEL, "identity", 100, 0)
         with pytest.raises(ValueError, match="trials"):
-            prob_positive_montecarlo(REFERENCE_MODEL, "ascending", 0, 0)
+            positivity_report_montecarlo(REFERENCE_MODEL, 0, 0)
 
     def test_standard_error_formula(self):
-        est, se = prob_positive_montecarlo(REFERENCE_MODEL, "descending", 10_000, 5)
-        assert se == pytest.approx((est * (1 - est) / 10_000) ** 0.5, abs=1e-15)
+        # each strategy's error comes from its own estimate; the second
+        # model's two estimates (near 0.91 and 0.49) give errors 2x apart
+        trials = 10_000
+        for model in (REFERENCE_MODEL, PopulationModel(n=2, low=0.0, high=1.0, decay_step=0.3)):
+            report = positivity_report_montecarlo(model, trials, 5)
+            for est, se in (
+                (report.prob_weakest_first_positive, report.weakest_first_std_error),
+                (report.prob_strongest_first_positive, report.strongest_first_std_error),
+            ):
+                assert se == pytest.approx((est * (1 - est) / trials) ** 0.5, abs=1e-15)
 
 
 class TestPositivityReport:
     def test_reference_model_uses_recursion(self):
         report = positivity_report(REFERENCE_MODEL)
         assert report.method == "recursion"
-        assert report.std_error == 0.0
+        assert report.strongest_first_std_error == report.weakest_first_std_error == 0.0
         assert report.prob_strongest_first_positive == 0.56**13
         assert report.prob_weakest_first_positive == pytest.approx(0.9999677, abs=1e-5)
         # serving the weak end first is overwhelmingly safer here
@@ -391,22 +399,23 @@ class TestPositivityReport:
 
     def test_montecarlo_report_matches_direct_calls(self):
         report = positivity_report_montecarlo(REFERENCE_MODEL, 20_000, 77)
-        est_w, se_w = prob_positive_montecarlo(REFERENCE_MODEL, "ascending", 20_000, 77)
-        est_s, se_s = prob_positive_montecarlo(REFERENCE_MODEL, "descending", 20_000, 77)
+        (est_w, se_w), (est_s, se_s) = analysis._simulate(REFERENCE_MODEL, 20_000, 77)
         assert report.method == "montecarlo"
         assert report.prob_weakest_first_positive == est_w
         assert report.prob_strongest_first_positive == est_s
-        assert report.std_error == max(se_w, se_s)
+        assert report.weakest_first_std_error == se_w
+        assert report.strongest_first_std_error == se_s
 
     def test_validation(self):
         with pytest.raises(ValueError, match="method"):
             PositivityReport(0.5, 0.5, method="guess")
         with pytest.raises(ValueError, match="must be in"):
             PositivityReport(1.5, 0.5, method="analytic")
-        with pytest.raises(ValueError, match="std_error"):
-            PositivityReport(0.5, 0.5, method="recursion", std_error=0.1)
-        with pytest.raises(ValueError, match="std_error"):
-            PositivityReport(0.5, 0.5, method="montecarlo", std_error=-0.1)
+        for name in ("strongest_first_std_error", "weakest_first_std_error"):
+            with pytest.raises(ValueError, match=f"{name} must be 0 for deterministic"):
+                PositivityReport(0.5, 0.5, method="recursion", **{name: 0.1})
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                PositivityReport(0.5, 0.5, method="montecarlo", **{name: -0.1})
 
 
 def _random_models(seed, count, max_active, min_active=0, max_n=8):
@@ -438,10 +447,14 @@ class TestRandomModelInvariants:
         for i, model in enumerate(_random_models(555, 3, max_active=4)):
             weakest = prob_weakest_first_positive_quadrature(model)
             strongest = prob_strongest_first_positive(model)
-            for strategy, expected in (("ascending", weakest), ("descending", strongest)):
+            report = positivity_report_montecarlo(model, trials, seed=9000 + i)
+            for expected, est, se in (
+                (weakest, report.prob_weakest_first_positive, report.weakest_first_std_error),
+                (strongest, report.prob_strongest_first_positive,
+                 report.strongest_first_std_error),
+            ):
                 if not 0.05 <= expected <= 0.95:
                     continue
-                est, se = prob_positive_montecarlo(model, strategy, trials, seed=9000 + i)
                 assert abs(est - expected) <= 4.0 * se + 1e-9
 
     def test_recursion_dominates_strongest_first(self):
@@ -466,5 +479,6 @@ class TestRandomModelInvariants:
         assert len(models) == 3
         for i, model in enumerate(models):
             expected = prob_weakest_first_positive(model)
-            est, se = prob_positive_montecarlo(model, "ascending", 200_000, seed=9000 + i)
+            report = positivity_report_montecarlo(model, 200_000, seed=9000 + i)
+            est, se = report.prob_weakest_first_positive, report.weakest_first_std_error
             assert abs(est - expected) <= 4.0 * se + 1e-9

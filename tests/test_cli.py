@@ -376,6 +376,19 @@ class TestCliEvaluate:
         assert out == ""
         assert "interval must be a finite number" in err
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_rate_names_the_rate(self, n, tmp_path, capsys):
+        # 1e308 * (n - 1) is finite at n = 2 and overflows from n = 3
+        scenario = tmp_path / "scenario.json"
+        doc = {"probabilities": [0.5] * n, "decay": {"type": "additive", "rate": 1e308}}
+        scenario.write_text(json.dumps(doc))
+        code, out, err = run_cli(["evaluate", "--scenario", str(scenario)], capsys)
+        if n == 2:
+            assert (code, err) == (0, "")
+            assert "stage_probabilities: 0.5,0" in out
+        else:
+            assert (code, out, err) == (2, "", "error: decay rate 1e+308 overflows over 3 stages\n")
+
     def test_invalid_scenario_names_the_field(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text('{"probabilities": [2.0], "decay": {"type": "additive", "rate": 0.1}}')
@@ -585,6 +598,13 @@ class TestCliSimulateAndPositivity:
         assert run_cli([*argv, str(limit)], capsys)[0] == 0
         assert calls == [limit]
 
+    @pytest.mark.parametrize("argv", [["simulate", "--trials", "10"], ["figure", "--n", "4"]],
+                             ids=["simulate", "figure"])
+    def test_negative_seed_names_the_flag(self, argv, capsys):
+        code, out, err = run_cli([*argv, "--seed", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert "argument --seed: must be at least 0, got -1" in err
+
     def test_simulate_at_population_size_limit(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--n", "10000", "--trials", "1", "--format", "structured"], capsys
@@ -640,7 +660,7 @@ class TestCliFigure:
         [
             ("inf", "decay_step must be a finite number >= 0, got inf"),
             ("-1", "decay_step must be a finite number >= 0, got -1.0"),
-            ("1e308", "decay_per_stage entries must be finite"),  # overflows at stage 2
+            ("1e308", "decay rate 1e+308 overflows over 13 stages"),
         ],
         ids=["inf", "minus-1", "1e308"],
     )
@@ -765,3 +785,40 @@ runpy.run_module("decaysched.cli", run_name="__main__", alter_sys=True)
                 if any(name in (".cli", "decaysched.cli") for name in names):
                     importers["cli"].add(path.name)
         assert importers == {"argparse": {"cli.py"}, "cli": {"__main__.py"}}
+
+
+class TestCliSurface:
+    def test_cli_uses_only_public_names_of_the_package(self):
+        # the CLI is a thin layer over the library: it neither imports a
+        # private name of another decaysched module nor reaches one as an
+        # attribute of a name it imported from the package
+        def private(name):
+            return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+        def root(node):
+            while isinstance(node, ast.Attribute):
+                node = node.value
+            return node.id if isinstance(node, ast.Name) else None
+
+        tree = ast.parse((Path(decaysched.__file__).parent / "cli.py").read_text())
+        imported, used = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").split(".")
+                if node.level > 0 or module[0] == "decaysched":
+                    used += [part for part in module if private(part)]
+                    used += [alias.name for alias in node.names if private(alias.name)]
+                    imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    module = alias.name.split(".")
+                    if module[0] == "decaysched":
+                        used += [part for part in module if private(part)]
+                        imported.add(alias.asname or module[0])
+        used += [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and private(node.attr)
+            and root(node.value) in imported
+        ]
+        assert used == []

@@ -1,0 +1,75 @@
+"""CLI stdout, byte for byte, against recorded output.
+
+``data/cli_stdout.json`` maps each case id below to the exact stdout the
+CLI printed for it.  A change that is meant to keep output identical must
+pass this file unchanged; a change that alters output on purpose records
+the new text there and says so.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from decaysched.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_stdout.json").read_text())
+
+ADDITIVE = (
+    '{"probabilities": [0.8, 0.9, 0.1, 0.2, 0.55, 0.35],'
+    ' "decay": {"type": "additive", "rate": 0.12}}'
+)
+MULTIPLICATIVE = (
+    '{"probabilities": [0.8, 0.9, 0.1, 0.2, 0.55, 0.35],'
+    ' "decay": {"type": "multiplicative", "factor": 0.85}}'
+)
+SCENARIOS = {"additive": ADDITIVE, "multiplicative": MULTIPLICATIVE}
+
+# id -> (scenario read from stdin or None, argv without --format)
+CASES = {
+    "evaluate-identity": ("additive", ["evaluate"]),
+    "evaluate-ascending": ("additive", ["evaluate", "--order", "ascending"]),
+    "evaluate-explicit": ("additive", ["evaluate", "--order", "4,0,5,2,1,3"]),
+    "evaluate-multiplicative-descending": (
+        "multiplicative", ["evaluate", "--order", "descending"]
+    ),
+    **{
+        f"optimize-{method}-{objective}-{law}": (
+            law, ["optimize", "--method", method, "--objective", objective]
+        )
+        for method in ("brute", "sort")
+        for objective in ("expected", "all")
+        for law in ("additive", "multiplicative")
+    },
+    "simulate-default": (None, ["simulate"]),
+    "simulate-model": (
+        None,
+        ["simulate", "--n", "6", "--decay", "0.15", "--low", "0.2", "--high", "0.9",
+         "--trials", "20000", "--seed", "42"],
+    ),
+    "positivity-default": (None, ["positivity"]),
+    "positivity-model": (
+        None, ["positivity", "--n", "8", "--decay", "0.05", "--low", "0", "--high", "1"]
+    ),
+}
+FORMATS = ("text", "structured")
+
+
+def run(case: str, fmt: str, monkeypatch, capsys) -> str:
+    scenario, argv = CASES[case]
+    monkeypatch.setattr("sys.stdin", io.StringIO(SCENARIOS[scenario] if scenario else ""))
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return captured.out
+
+
+def test_every_recorded_case_is_run():
+    assert set(GOLDEN) == {f"{case}-{fmt}" for case in CASES for fmt in FORMATS}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", CASES)
+def test_stdout_matches_recording(case, fmt, monkeypatch, capsys):
+    assert run(case, fmt, monkeypatch, capsys) == GOLDEN[f"{case}-{fmt}"]

@@ -14,7 +14,10 @@ from decaysched import (
     recommended_order,
     sort_order,
     stage_item_matrix,
+    stage_probabilities,
+    success_count_pmf,
 )
+from decaysched import scheduler
 
 VEC_A = [0.8, 0.9, 0.7, 0.7]
 VEC_B = [0.8, 0.9, 0.1, 0.2]
@@ -139,6 +142,26 @@ class TestScheduleMetrics:
 
 
 class TestEvaluateOrder:
+    def test_pmf_is_built_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting_pmf(probabilities):
+            calls.append(probabilities)
+            return success_count_pmf(probabilities)
+
+        monkeypatch.setattr(scheduler, "success_count_pmf", counting_pmf)
+        n = 100_000
+        p0 = np.random.default_rng(8).uniform(0.5, 1.0, n)
+        metrics = evaluate_order(p0, np.arange(n), MultiplicativeDecay(1.0 - 1e-6))
+        assert calls == []
+        small = evaluate_order(VEC_A, [2, 0, 3, 1], DECAY_01)
+        first = small.pmf
+        assert small.pmf is first
+        assert len(calls) == 1
+        eager = success_count_pmf(stage_probabilities(np.take(VEC_A, [2, 0, 3, 1]), DECAY_01))
+        np.testing.assert_array_equal(first.mass, eager.mass)
+        assert metrics.stage_probabilities.n == n
+
     def test_order_validation(self):
         with pytest.raises(ValueError, match="length"):
             evaluate_order(VEC_A, [0, 1, 2], DECAY_01)
