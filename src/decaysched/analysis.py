@@ -14,10 +14,10 @@ lower-boundary probability for uniform order statistics: with the draws
 mapped to Uniform(0, 1), ``U_(k) > a_k`` must hold for every active rank
 ``k``, where ``a_k = clip((c_k - low) / (high - low), 0, 1)``.  Only stages
 whose threshold exceeds ``low`` can fail; ``m`` denotes their number.
-``prob_weakest_first_positive`` computes it exactly for any ``m`` by the
-all-positive recursion of Noe (1972, *Ann. Math. Statist.* 43(1):58-64) in
-the Poisson form of Moscovich & Nadler (2017, *Stat. Probab. Lett.*
-123:177-182).
+``positivity_report`` computes it exactly for any ``m`` (in
+``_weakest_first``) by the all-positive recursion of Noe (1972, *Ann.
+Math. Statist.* 43(1):58-64) in the Poisson form of Moscovich & Nadler
+(2017, *Stat. Probab. Lett.* 123:177-182).
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .decay import linear_decay_sequence
 
 __all__ = [
     "PopulationModel",
     "PositivityReport",
-    "stage_thresholds",
-    "active_thresholds",
-    "prob_strongest_first_positive",
-    "prob_weakest_first_positive",
     "positivity_report",
     "positivity_report_montecarlo",
 ]
@@ -103,28 +100,7 @@ class PositivityReport:
                 raise ValueError(f"{name} must be 0 for deterministic methods")
 
 
-def stage_thresholds(model: PopulationModel) -> np.ndarray:
-    """Minimum initial probability to stay positive at stage k: ``d * (k - 1)``.
-
-    A product too large for a float is ``inf``, a threshold no draw clears.
-    """
-    with np.errstate(over="ignore"):
-        return model.decay_step * np.arange(model.n, dtype=np.float64)
-
-
-def active_thresholds(model: PopulationModel) -> list[tuple[int, float]]:
-    """Order-statistic constraints that can actually fail under weakest-first.
-
-    Stage ``k`` serves the k-th smallest draw, which must exceed
-    ``d * (k - 1)``; since every draw already exceeds ``low``, only stages
-    with threshold strictly above ``low`` constrain anything.  Returns
-    ``(rank, threshold)`` pairs with 1-based order-statistic ranks, ascending.
-    """
-    c = stage_thresholds(model)
-    return [(k + 1, float(c[k])) for k in range(model.n) if c[k] > model.low]
-
-
-def prob_strongest_first_positive(model: PopulationModel) -> float:
+def _strongest_first(model: PopulationModel, thresholds: np.ndarray) -> float:
     """Closed-form positivity probability for strongest-first service.
 
     Stage k serves the k-th largest draw, so the smallest draw faces the final
@@ -133,16 +109,16 @@ def prob_strongest_first_positive(model: PopulationModel) -> float:
     Hence the probability is ``P(min > d*(n-1)) = q**n`` with
     ``q = P(single draw > d*(n-1))``.
     """
-    c = stage_thresholds(model)
-    # non-decreasing thresholds are what makes the min-only criterion exact
-    assert (c[1:] >= c[:-1]).all()
-    q = (model.high - float(c[-1])) / (model.high - model.low)
+    q = (model.high - float(thresholds[-1])) / (model.high - model.low)
     q = min(max(q, 0.0), 1.0)
     return q**model.n
 
 
-def prob_weakest_first_positive(model: PopulationModel) -> float:
+def _weakest_first(model: PopulationModel, thresholds: np.ndarray, first: int) -> float:
     """Exact positivity probability for weakest-first service, for any n.
+
+    ``thresholds[first:]`` are the active thresholds, those of the 1-based
+    ranks ``first + 1..n``.
 
     ``U_(k) > a_k`` holds iff fewer than ``k`` of the ``n`` mapped draws lie
     at or below ``a_k``, so the recursion walks the active boundaries in
@@ -164,13 +140,9 @@ def prob_weakest_first_positive(model: PopulationModel) -> float:
     x86-64 core: about 0.15 ms on the reference model, and with every
     stage active 5 ms at n = 200, 0.14 s at n = 2000 and 4 s at n = 10**4.
     """
-    active = active_thresholds(model)
-    if not active:
-        return 1.0
     n = model.n
-    thresholds = np.array([t for _, t in active])
     with np.errstate(over="ignore"):  # a huge threshold clips to 1 all the same
-        bounds = np.clip((thresholds - model.low) / (model.high - model.low), 0.0, 1.0)
+        bounds = np.clip((thresholds[first:] - model.low) / (model.high - model.low), 0.0, 1.0)
     if bounds[-1] >= 1.0:
         # every draw lies at or below the last boundary, so that rank fails
         return 0.0
@@ -190,7 +162,7 @@ def prob_weakest_first_positive(model: PopulationModel) -> float:
 
     weights = np.ones(1)  # P(c points at or below the previous boundary, no rank failed)
     previous = 0.0
-    for (rank, _), bound in zip(active, bounds):
+    for rank, bound in enumerate(bounds, first + 1):
         pmf = flushed(np.exp(log_poisson(bound - previous, rank)))
         weights = flushed(np.convolve(weights, pmf)[:rank])
         previous = bound
@@ -213,7 +185,7 @@ def _simulate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    thresholds = stage_thresholds(model)
+    thresholds = linear_decay_sequence(model.decay_step, model.n)
     rng = np.random.default_rng(seed)
     ascending = descending = 0
     block = max(1, _MC_ELEMENTS // model.n)
@@ -234,12 +206,21 @@ def _simulate(
 
 
 def positivity_report(model: PopulationModel) -> PositivityReport:
-    """Deterministic report: closed-form strongest-first, exact recursion weakest-first."""
-    strongest = prob_strongest_first_positive(model)
-    if not active_thresholds(model):
+    """Deterministic report: closed-form strongest-first, exact recursion weakest-first.
+
+    The method is "analytic" when no stage threshold exceeds ``low``: then
+    no stage can fail, and both values are exactly 1.  A threshold too large
+    for a float is ``inf``, one that no draw clears.
+    """
+    c = linear_decay_sequence(model.decay_step, model.n)
+    # non-decreasing thresholds make the strongest-first criterion exact, and
+    # make the stages that can fail a suffix, found by one binary search
+    assert (c[1:] >= c[:-1]).all()
+    first = int(np.searchsorted(c, model.low, side="right"))
+    strongest = _strongest_first(model, c)
+    if first == model.n:
         return PositivityReport(strongest, 1.0, method="analytic")
-    weakest = prob_weakest_first_positive(model)
-    return PositivityReport(strongest, weakest, method="recursion")
+    return PositivityReport(strongest, _weakest_first(model, c, first), method="recursion")
 
 
 def positivity_report_montecarlo(

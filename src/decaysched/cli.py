@@ -42,11 +42,9 @@ _MAX_SIMULATED_DRAWS = 10**9
 
 
 def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".10g")
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return ",".join(_format_value(v) for v in value)
     return str(value)
 
@@ -170,16 +168,17 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     model = _population(args)
-    matrix = generate_figure_matrix(model, args.seed)
-    for out in args.out or []:
-        path = Path(out)
-        suffix = path.suffix.lower()
-        if suffix == ".csv":
-            path.write_text(figure_csv(matrix, header=args.header))
-        elif suffix == ".svg":
-            path.write_text(figure_svg(matrix))
-        else:
+    outs = args.out or []
+    for out in outs:  # every path is checked before any file is written
+        if Path(out).suffix.lower() not in (".csv", ".svg"):
             raise ValueError(f"--out path must end in .csv or .svg, got {out!r}")
+    matrix = generate_figure_matrix(model, args.seed)
+    for out in outs:
+        path = Path(out)
+        if path.suffix.lower() == ".csv":
+            path.write_text(figure_csv(matrix, header=args.header))
+        else:
+            path.write_text(figure_svg(matrix))
     if args.format == "structured":
         _emit(
             {

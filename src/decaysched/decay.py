@@ -99,17 +99,26 @@ def as_permutation(order, n: int | None = None) -> np.ndarray:
     arr = np.asarray(order)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("order must be a non-empty one-dimensional sequence")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if n is not None and arr.size != n:
+        raise ValueError(f"order has length {arr.size}, expected {n}")
+
+    def not_a_permutation() -> ValueError:
+        return ValueError(f"order {arr.tolist()} is not a permutation of 0..{arr.size - 1}")
+
+    if arr.dtype.kind != "i":
+        if arr.dtype.kind not in "bufO":
+            raise ValueError("order must contain integers")
+        # an entry outside 0..size-1 is in no permutation; rejecting it before
+        # the int64 cast keeps the cast exact, as some integers do not fit int64
+        if not ((arr >= 0) & (arr < arr.size)).all():
+            raise not_a_permutation()
         cast = arr.astype(np.int64)
         if not np.array_equal(cast, arr):
             raise ValueError("order must contain integers")
         arr = cast
-    arr = arr.astype(np.int64)
-    if n is not None and arr.size != n:
-        raise ValueError(f"order has length {arr.size}, expected {n}")
     if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-        raise ValueError(f"order {arr.tolist()} is not a permutation of 0..{arr.size - 1}")
-    return arr
+        raise not_a_permutation()
+    return arr.astype(np.int64)
 
 
 def _decayed(p0: np.ndarray, stage: np.ndarray, decay: DecaySpec) -> np.ndarray:

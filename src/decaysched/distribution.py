@@ -19,8 +19,6 @@ __all__ = [
     "SuccessCountPmf",
     "as_probability_vector",
     "success_count_pmf",
-    "expected_successes",
-    "prob_all_success",
 ]
 
 # headroom for rounding in the convolution: over 100x the error measured at n = 10**4
@@ -137,15 +135,3 @@ def success_count_pmf(pv) -> SuccessCountPmf:
     for p in pv.probs:
         mass = np.convolve(mass, np.array([1.0 - p, p]))
     return SuccessCountPmf(mass)
-
-
-def expected_successes(pv) -> float:
-    """Expected number of successes: ``sum_i p_i`` (order-invariant)."""
-    pv = as_probability_vector(pv)
-    return float(np.sum(pv.probs))
-
-
-def prob_all_success(pv) -> float:
-    """Probability that every trial succeeds: ``prod_i p_i`` (order-invariant)."""
-    pv = as_probability_vector(pv)
-    return float(np.prod(pv.probs))

@@ -29,16 +29,12 @@ from .distribution import (
     ProbabilityVector,
     SuccessCountPmf,
     as_probability_vector,
-    expected_successes,
-    prob_all_success,
     success_count_pmf,
 )
 
 __all__ = [
     "Objective",
     "ScheduleMetrics",
-    "OrderDirection",
-    "OrderStrategy",
     "BRUTE_FORCE_MAX_ITEMS",
     "sort_order",
     "stage_item_matrix",
@@ -80,8 +76,8 @@ class ScheduleMetrics:
     def __post_init__(self) -> None:
         p1 = as_probability_vector(self.stage_probabilities)
         object.__setattr__(self, "stage_probabilities", p1)
-        object.__setattr__(self, "expected_successes", expected_successes(p1))
-        object.__setattr__(self, "prob_all_success", prob_all_success(p1))
+        object.__setattr__(self, "expected_successes", float(np.sum(p1.probs)))
+        object.__setattr__(self, "prob_all_success", float(np.prod(p1.probs)))
 
     @cached_property
     def pmf(self) -> SuccessCountPmf:

@@ -1,7 +1,9 @@
 """Slow, independent oracles for the weakest-first positivity probability.
 
-Neither is used by the package at run time; the tests compare
-``decaysched.prob_weakest_first_positive`` against them.
+Neither is used by the package at run time; the tests compare the
+weakest-first value of ``decaysched.positivity_report`` against them.  Both
+find the stages that can fail on their own (``active_ranks``), in plain
+Python floats, so a wrong rule in the package does not carry over to them.
 
 ``prob_weakest_first_positive_quadrature`` integrates the joint density of
 the top ``m`` order statistics ``t_1 <= ... <= t_m`` of ``n`` uniform draws,
@@ -13,8 +15,9 @@ simplex where each ``t_j`` exceeds its stage threshold, as nested
 one-dimensional adaptive quadratures, innermost variable first.
 
 ``prob_weakest_first_positive_exact`` runs Noe's recursion in its binomial
-form in rational arithmetic, on the same float boundaries that the package
-uses, so it differs from the package's value only by that value's rounding.
+form in rational arithmetic, on float boundaries rounded as the package
+rounds them, so it differs from the package's value only by that value's
+rounding.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from decaysched import PopulationModel, active_thresholds
+from decaysched import PopulationModel
 
 # nested adaptive quadrature beyond 6 axes is slower than simulating
 MAX_QUADRATURE_DIMENSION = 6
@@ -34,6 +35,24 @@ _QUAD_EPSABS = 1e-9
 
 class QuadratureDimensionError(ValueError):
     """Too many active thresholds for the nested-quadrature oracle."""
+
+
+def _threshold(model: PopulationModel, rank: int) -> float:
+    return model.decay_step * (rank - 1)
+
+
+def active_ranks(model: PopulationModel) -> list[int]:
+    """1-based ranks ``k`` whose stage threshold ``d * (k - 1)`` exceeds ``low``.
+
+    Every draw exceeds ``low``, so only these stages can fail under
+    weakest-first service.
+    """
+    return [k for k in range(1, model.n + 1) if _threshold(model, k) > model.low]
+
+
+def _bound(model: PopulationModel, rank: int) -> float:
+    """The threshold of ``rank`` mapped to Uniform(0, 1), clipped to [0, 1]."""
+    return min(max((_threshold(model, rank) - model.low) / (model.high - model.low), 0.0), 1.0)
 
 
 def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
@@ -47,8 +66,8 @@ def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
     """
     from scipy.integrate import quad
 
-    active = active_thresholds(model)
-    m = len(active)
+    ranks = active_ranks(model)
+    m = len(ranks)
     if m == 0:
         return 1.0
     if m > MAX_QUADRATURE_DIMENSION:
@@ -56,7 +75,7 @@ def prob_weakest_first_positive_quadrature(model: PopulationModel) -> float:
             f"{m} active thresholds exceed the {MAX_QUADRATURE_DIMENSION}-axis quadrature "
             f"limit; use positivity_report_montecarlo instead"
         )
-    thresholds = [t for _, t in active]
+    thresholds = [_threshold(model, rank) for rank in ranks]
     n, a, b = model.n, model.low, model.high
     if thresholds[-1] >= b:
         return 0.0
@@ -86,22 +105,20 @@ def prob_weakest_first_positive_exact(model: PopulationModel) -> Fraction:
     more of the ``n`` points lie at or below its boundary ``a_k``.  Walking
     the active boundaries in order, of the ``n - c`` points above the
     previous boundary ``a``, Binomial(n - c, (a_k - a) / (1 - a)) fall at or
-    below ``a_k``.  The boundaries are the package's floats, converted
-    exactly; every other step is rational.
+    below ``a_k``.  The boundaries are floats, rounded as the package rounds
+    them and converted exactly; every other step is rational.
     """
-    active = active_thresholds(model)
-    if not active:
+    ranks = active_ranks(model)
+    if not ranks:
         return Fraction(1)
     n = model.n
-    thresholds = np.array([t for _, t in active])
-    with np.errstate(over="ignore"):
-        bounds = np.clip((thresholds - model.low) / (model.high - model.low), 0.0, 1.0)
+    bounds = [_bound(model, rank) for rank in ranks]
     if bounds[-1] >= 1.0:
         return Fraction(0)
     weights = [Fraction(1)]  # weights[c]: c points at or below the previous boundary
     previous = Fraction(0)
-    for (rank, _), bound in zip(active, bounds):
-        bound = Fraction(float(bound))
+    for rank, bound in zip(ranks, bounds):
+        bound = Fraction(bound)
         p = (bound - previous) / (1 - previous)
         below = [p**j for j in range(rank)]
         above = [(1 - p) ** j for j in range(n + 1)]

@@ -20,8 +20,8 @@ from decaysched import (
     evaluate_order,
     figure_csv,
     generate_figure_matrix,
+    positivity_report,
     positivity_report_montecarlo,
-    prob_strongest_first_positive,
     sort_order,
     success_count_pmf,
 )
@@ -65,7 +65,7 @@ def test_criterion_1_worked_example_regression():
 
 
 def test_criterion_2_closed_form_positivity():
-    value = prob_strongest_first_positive(REFERENCE_MODEL)
+    value = positivity_report(REFERENCE_MODEL).prob_strongest_first_positive
     ok = value == REFERENCE_STRONGEST and format(value, ".3g") == "0.000533"
     _verdict(2, "closed-form positivity", ok)
 

@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     MAX_QUADRATURE_DIMENSION,
     QuadratureDimensionError,
+    active_ranks,
     prob_weakest_first_positive_exact,
     prob_weakest_first_positive_quadrature,
 )
@@ -17,12 +20,8 @@ import decaysched.analysis as analysis
 from decaysched import (
     PopulationModel,
     PositivityReport,
-    active_thresholds,
     positivity_report,
     positivity_report_montecarlo,
-    prob_strongest_first_positive,
-    prob_weakest_first_positive,
-    stage_thresholds,
 )
 
 # 13 items drawn on (0.5, 1) losing 0.06 per stage
@@ -55,53 +54,79 @@ class TestPopulationModel:
 
 
 class TestThresholds:
-    def test_stage_thresholds_exact(self):
-        model = PopulationModel(n=4, low=0.0, high=1.0, decay_step=0.06)
-        np.testing.assert_array_equal(stage_thresholds(model), 0.06 * np.arange(4))
+    """The stages that can fail, by the oracles' rule and in the package's report."""
 
     def test_active_thresholds_reference_model(self):
-        active = active_thresholds(REFERENCE_MODEL)
-        assert [rank for rank, _ in active] == [10, 11, 12, 13]
-        np.testing.assert_allclose(
-            [t for _, t in active], [0.54, 0.60, 0.66, 0.72], rtol=0.0, atol=1e-12
-        )
+        assert active_ranks(REFERENCE_MODEL) == [10, 11, 12, 13]
+        assert positivity_report(REFERENCE_MODEL).method == "recursion"
 
     def test_no_decay_means_no_active_thresholds(self):
         model = PopulationModel(n=5, low=0.0, high=1.0, decay_step=0.0)
-        assert active_thresholds(model) == []
+        assert active_ranks(model) == []
+        assert positivity_report(model).method == "analytic"
 
     def test_zero_low_activates_every_decayed_stage(self):
         model = PopulationModel(n=4, low=0.0, high=1.0, decay_step=0.1)
-        assert [rank for rank, _ in active_thresholds(model)] == [2, 3, 4]
+        assert active_ranks(model) == [2, 3, 4]
+        assert positivity_report(model).method == "recursion"
 
     def test_threshold_equal_to_low_is_not_active(self):
         # strict inequality: a draw exceeds `low` almost surely
         model = PopulationModel(n=2, low=0.5, high=1.0, decay_step=0.5)
-        assert active_thresholds(model) == []
+        assert active_ranks(model) == []
+        report = positivity_report(model)
+        assert report.method == "analytic"
+        assert report.prob_weakest_first_positive == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("low_stage", range(0, 5))
+    def test_report_matches_oracle_at_threshold_equal_to_low(self, n, low_stage):
+        # dyadic values: stage low_stage + 1 has a threshold exactly equal to low
+        step = 0.125
+        model = PopulationModel(n=n, low=low_stage * step, high=1.0, decay_step=step)
+        report = positivity_report(model)
+        assert report.method == ("recursion" if active_ranks(model) else "analytic")
+        exact = prob_weakest_first_positive_exact(model)
+        error = abs(Fraction(report.prob_weakest_first_positive) - exact)
+        assert error <= Fraction(1e-13) * exact
+
+
+def test_oracles_import_only_the_model_from_the_package():
+    # the oracles find the stages that can fail themselves, so that a wrong
+    # rule in the package cannot pass both the package and its oracles
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("decaysched"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("decaysched") for alias in node.names)
+    assert imported == {"PopulationModel"}
 
 
 class TestStrongestFirstClosedForm:
     def test_reference_model_value(self):
-        value = prob_strongest_first_positive(REFERENCE_MODEL)
+        value = positivity_report(REFERENCE_MODEL).prob_strongest_first_positive
         assert value == 0.56**13
         assert format(value, ".3g") == "0.000533"
 
     def test_two_item_value(self):
         model = PopulationModel(n=2, low=0.0, high=1.0, decay_step=0.3)
-        assert prob_strongest_first_positive(model) == 0.7**2
+        assert positivity_report(model).prob_strongest_first_positive == 0.7**2
 
     def test_two_item_narrow_interval(self):
         # q = (1 - 0.6) / (1 - 0.5) = 0.8, squared
         model = PopulationModel(n=2, low=0.5, high=1.0, decay_step=0.6)
-        assert prob_strongest_first_positive(model) == pytest.approx(0.64, abs=1e-12)
+        value = positivity_report(model).prob_strongest_first_positive
+        assert value == pytest.approx(0.64, abs=1e-12)
 
     def test_no_decay_gives_certainty(self):
         model = PopulationModel(n=6, low=0.2, high=0.9, decay_step=0.0)
-        assert prob_strongest_first_positive(model) == 1.0
+        assert positivity_report(model).prob_strongest_first_positive == 1.0
 
     def test_overwhelming_decay_gives_zero(self):
         model = PopulationModel(n=3, low=0.5, high=0.9, decay_step=0.5)
-        assert prob_strongest_first_positive(model) == 0.0
+        assert positivity_report(model).prob_strongest_first_positive == 0.0
 
 
 class TestWeakestFirstQuadrature:
@@ -123,7 +148,7 @@ class TestWeakestFirstQuadrature:
 
     def test_two_active_thresholds_match_independent_double_integral(self):
         model = PopulationModel(n=4, low=0.4, high=1.0, decay_step=0.22)
-        assert [r for r, _ in active_thresholds(model)] == [3, 4]
+        assert active_ranks(model) == [3, 4]
         n, a, b = model.n, model.low, model.high
         w = b - a
         ref, _ = dblquad(
@@ -136,7 +161,7 @@ class TestWeakestFirstQuadrature:
 
     def test_three_active_thresholds_match_independent_triple_integral(self):
         model = PopulationModel(n=5, low=0.3, high=1.0, decay_step=0.17)
-        assert [r for r, _ in active_thresholds(model)] == [3, 4, 5]
+        assert active_ranks(model) == [3, 4, 5]
         a, b = model.low, model.high
         w = b - a
         ref, _ = tplquad(
@@ -159,14 +184,14 @@ class TestWeakestFirstQuadrature:
 
     def test_dimension_limit(self):
         model = PopulationModel(n=8, low=0.0, high=1.0, decay_step=0.05)
-        assert len(active_thresholds(model)) == 7
+        assert len(active_ranks(model)) == 7
         with pytest.raises(QuadratureDimensionError, match="montecarlo"):
             prob_weakest_first_positive_quadrature(model)
         assert MAX_QUADRATURE_DIMENSION == 6
 
     def test_five_active_thresholds_agree_with_montecarlo(self):
         model = PopulationModel(n=6, low=0.0, high=1.0, decay_step=0.16)
-        assert len(active_thresholds(model)) == 5
+        assert len(active_ranks(model)) == 5
         exact = prob_weakest_first_positive_quadrature(model)
         report = positivity_report_montecarlo(model, 200_000, 8)
         est, se = report.prob_weakest_first_positive, report.weakest_first_std_error
@@ -185,7 +210,7 @@ def few_threshold_models(draw):
     hi = low / (n - m - 1) if n - m - 1 else lo + high
     step = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
     model = PopulationModel(n=n, low=low, high=high, decay_step=step)
-    assume(len(active_thresholds(model)) == m)  # rounding at the band edges
+    assume(len(active_ranks(model)) == m)  # rounding at the band edges
     return model
 
 
@@ -208,7 +233,7 @@ def assert_matches_exact_oracle(model):
     # the recursion's documented error: about 5e-14 relative, plus under 1e-140
     # from flushed terms
     exact = prob_weakest_first_positive_exact(model)
-    error = abs(Fraction(prob_weakest_first_positive(model)) - exact)
+    error = abs(Fraction(positivity_report(model).prob_weakest_first_positive) - exact)
     assert error <= Fraction(1e-13) * exact + Fraction(1e-140)
 
 
@@ -223,22 +248,24 @@ class TestWeakestFirstRecursion:
 
     def test_no_active_thresholds_returns_one(self):
         model = PopulationModel(n=5, low=0.5, high=1.0, decay_step=0.05)
-        assert active_thresholds(model) == []
-        assert prob_weakest_first_positive(model) == 1.0
+        assert active_ranks(model) == []
+        assert positivity_report(model).prob_weakest_first_positive == 1.0
 
     @pytest.mark.parametrize("step", [0.5, 0.6])
     def test_last_threshold_at_or_above_high_returns_zero(self, step):
         # the last threshold is 2 * step >= high: the largest draw never clears it
         model = PopulationModel(n=3, low=0.5, high=1.0, decay_step=step)
-        assert prob_weakest_first_positive(model) == 0.0
+        assert positivity_report(model).prob_weakest_first_positive == 0.0
 
     def test_single_active_threshold_matches_closed_form(self):
         model = PopulationModel(n=3, low=0.5, high=1.0, decay_step=0.3)
-        assert prob_weakest_first_positive(model) == pytest.approx(1.0 - 0.2**3, abs=1e-14)
+        value = positivity_report(model).prob_weakest_first_positive
+        assert value == pytest.approx(1.0 - 0.2**3, abs=1e-14)
 
     def test_two_item_half_decay(self):
         model = PopulationModel(n=2, low=0.0, high=1.0, decay_step=0.5)
-        assert prob_weakest_first_positive(model) == pytest.approx(0.75, abs=1e-14)
+        value = positivity_report(model).prob_weakest_first_positive
+        assert value == pytest.approx(0.75, abs=1e-14)
 
     def test_two_active_thresholds_match_independent_double_integral(self):
         model = PopulationModel(n=4, low=0.4, high=1.0, decay_step=0.22)
@@ -248,7 +275,7 @@ class TestWeakestFirstRecursion:
             0.66, 1.0,
             lambda x: 0.44, lambda x: x,
         )
-        assert prob_weakest_first_positive(model) == pytest.approx(ref, abs=1e-7)
+        assert positivity_report(model).prob_weakest_first_positive == pytest.approx(ref, abs=1e-7)
 
     def test_three_active_thresholds_match_independent_triple_integral(self):
         model = PopulationModel(n=5, low=0.3, high=1.0, decay_step=0.17)
@@ -259,14 +286,14 @@ class TestWeakestFirstRecursion:
             lambda x: 0.51, lambda x: x,
             lambda x, y: 0.34, lambda x, y: y,
         )
-        assert prob_weakest_first_positive(model) == pytest.approx(ref, abs=1e-7)
+        assert positivity_report(model).prob_weakest_first_positive == pytest.approx(ref, abs=1e-7)
 
     # near-certain models make quad warn of roundoff; agreement is still checked
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(few_threshold_models())
     def test_matches_quadrature_up_to_three_thresholds(self, model):
-        exact = prob_weakest_first_positive(model)
+        exact = positivity_report(model).prob_weakest_first_positive
         assert exact == pytest.approx(prob_weakest_first_positive_quadrature(model), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -275,7 +302,7 @@ class TestWeakestFirstRecursion:
         ids=["m4-reference", "m5"],
     )
     def test_matches_quadrature_at_four_and_five_thresholds(self, model):
-        exact = prob_weakest_first_positive(model)
+        exact = positivity_report(model).prob_weakest_first_positive
         assert exact == pytest.approx(prob_weakest_first_positive_quadrature(model), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -287,8 +314,8 @@ class TestWeakestFirstRecursion:
         ids=["m12", "n200"],
     )
     def test_beyond_quadrature_agrees_with_montecarlo(self, model, trials):
-        assert len(active_thresholds(model)) > MAX_QUADRATURE_DIMENSION
-        exact = prob_weakest_first_positive(model)
+        assert len(active_ranks(model)) > MAX_QUADRATURE_DIMENSION
+        exact = positivity_report(model).prob_weakest_first_positive
         report = positivity_report_montecarlo(model, trials, 31)
         est, se = report.prob_weakest_first_positive, report.weakest_first_std_error
         assert 0.0 < se
@@ -307,9 +334,9 @@ class TestWeakestFirstRecursion:
         assume(high > low)
         top = 1.2 * high / max(n - 1, 1)
         smaller, larger = sorted((u * top, v * top))
-        value = lambda step: prob_weakest_first_positive(
+        value = lambda step: positivity_report(
             PopulationModel(n=n, low=low, high=high, decay_step=step)
-        )
+        ).prob_weakest_first_positive
         assert value(larger) <= value(smaller) + 1e-12
 
 
@@ -428,7 +455,7 @@ def _random_models(seed, count, max_active, min_active=0, max_n=8):
         high = float(rng.uniform(low + 0.1, 1.0))
         step = float(rng.uniform(0.0, 1.2 * high / (n - 1)))
         model = PopulationModel(n=n, low=low, high=high, decay_step=step)
-        if min_active <= len(active_thresholds(model)) <= max_active:
+        if min_active <= len(active_ranks(model)) <= max_active:
             models.append(model)
     return models
 
@@ -439,14 +466,14 @@ class TestRandomModelInvariants:
         # other constraint, so ascending order is never worse
         for model in _random_models(20250819, 12, max_active=4):
             weakest = prob_weakest_first_positive_quadrature(model)
-            strongest = prob_strongest_first_positive(model)
+            strongest = positivity_report(model).prob_strongest_first_positive
             assert weakest + 1e-9 >= strongest
 
     def test_quadrature_and_closed_form_agree_with_montecarlo(self):
         trials = 1_000_000
         for i, model in enumerate(_random_models(555, 3, max_active=4)):
             weakest = prob_weakest_first_positive_quadrature(model)
-            strongest = prob_strongest_first_positive(model)
+            strongest = positivity_report(model).prob_strongest_first_positive
             report = positivity_report_montecarlo(model, trials, seed=9000 + i)
             for expected, est, se in (
                 (weakest, report.prob_weakest_first_positive, report.weakest_first_std_error),
@@ -459,12 +486,13 @@ class TestRandomModelInvariants:
 
     def test_recursion_dominates_strongest_first(self):
         for model in _random_models(20250819, 40, max_active=40, max_n=40):
-            weakest = prob_weakest_first_positive(model)
-            assert weakest + 1e-12 >= prob_strongest_first_positive(model)
+            report = positivity_report(model)
+            weakest = report.prob_weakest_first_positive
+            assert weakest + 1e-12 >= report.prob_strongest_first_positive
 
     def test_recursion_matches_quadrature(self):
         for model in _random_models(20250819, 12, max_active=4):
-            exact = prob_weakest_first_positive(model)
+            exact = positivity_report(model).prob_weakest_first_positive
             assert exact == pytest.approx(prob_weakest_first_positive_quadrature(model), abs=1e-9)
 
     def test_recursion_agrees_with_montecarlo_beyond_quadrature(self):
@@ -474,11 +502,11 @@ class TestRandomModelInvariants:
             model
             for model in _random_models(555, 200, max_active=40,
                                         min_active=MAX_QUADRATURE_DIMENSION + 1, max_n=40)
-            if 0.05 <= prob_weakest_first_positive(model) <= 0.95
+            if 0.05 <= positivity_report(model).prob_weakest_first_positive <= 0.95
         ][:3]
         assert len(models) == 3
         for i, model in enumerate(models):
-            expected = prob_weakest_first_positive(model)
+            expected = positivity_report(model).prob_weakest_first_positive
             report = positivity_report_montecarlo(model, 200_000, seed=9000 + i)
             est, se = report.prob_weakest_first_positive, report.weakest_first_std_error
             assert abs(est - expected) <= 4.0 * se + 1e-9

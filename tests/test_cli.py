@@ -24,8 +24,7 @@ from decaysched import (
     figure_svg,
     generate_figure_matrix,
     parse_scenario,
-    prob_all_success,
-    prob_weakest_first_positive,
+    positivity_report,
     serialize_scenario,
     sort_order,
     stage_probabilities,
@@ -361,6 +360,20 @@ class TestCliEvaluate:
         assert code == 2
         assert "--order" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("index", ["99999999999999999999999", "9223372036854775808"])
+    def test_order_index_beyond_int64_is_a_validation_error(self, index, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            '{"probabilities": [0.8, 0.9], "decay": {"type": "additive", "rate": 0.1}}'
+        )
+        code, out, err = run_cli(
+            ["evaluate", "--scenario", str(scenario), "--order", f"{index},0"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: order [") and "is not a permutation of 0..1" in err
+
     def test_missing_file_is_a_validation_error(self, capsys):
         code, _, err = run_cli(["evaluate", "--scenario", "/does/not/exist.json"], capsys)
         assert code == 2
@@ -446,7 +459,7 @@ class TestCliOptimize:
         payload = json.loads(out)
         assert payload["strategy"] == "any"
         assert payload["order"] == [0, 1, 2]
-        want = prob_all_success(stage_probabilities([0.9, 0.5, 0.7], MultiplicativeDecay(0.8)))
+        want = float(np.prod(stage_probabilities([0.9, 0.5, 0.7], MultiplicativeDecay(0.8)).probs))
         assert payload["value"] == pytest.approx(want, abs=1e-15)
 
     def test_objective_defaults_to_scenario_field(self, tmp_path, capsys):
@@ -532,7 +545,7 @@ class TestCliSimulateAndPositivity:
         payload = json.loads(out)
         assert payload["method"] == "recursion"
         model = PopulationModel(n=8, low=0.0, high=1.0, decay_step=0.05)
-        assert payload["weakest_first"] == prob_weakest_first_positive(model)
+        assert payload["weakest_first"] == positivity_report(model).prob_weakest_first_positive
 
     def test_positivity_bad_bounds(self, capsys):
         code, _, err = run_cli(["positivity", "--low", "0.9", "--high", "0.5"], capsys)
@@ -648,6 +661,13 @@ class TestCliFigure:
         code, _, err = run_cli(["figure", "--out", str(tmp_path / "fig.png")], capsys)
         assert code == 2
         assert ".csv or .svg" in err
+
+    def test_checks_every_out_path_before_writing_any(self, tmp_path, capsys):
+        argv = ["figure", "--out", str(tmp_path / "a.csv"), "--out", str(tmp_path / "b.txt")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "b.txt" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_bad_bounds(self, capsys):
         code, _, err = run_cli(["figure", "--low", "1", "--high", "0.5"], capsys)

@@ -52,6 +52,16 @@ CASES = {
     "positivity-model": (
         None, ["positivity", "--n", "8", "--decay", "0.05", "--low", "0", "--high", "1"]
     ),
+    # the last threshold, 4 * 0.125, equals --low: no stage can fail
+    "positivity-last-threshold-at-low": (
+        None, ["positivity", "--n", "5", "--low", "0.5", "--decay", "0.125"]
+    ),
+    # one stage more: rank 6 is the first and only one that can fail
+    "positivity-first-active-rank-6": (
+        None, ["positivity", "--n", "6", "--low", "0.5", "--decay", "0.125"]
+    ),
+    # every threshold from stage 2 on is beyond --high, and the last overflows
+    "positivity-huge-decay": (None, ["positivity", "--decay", "1e308"]),
 }
 FORMATS = ("text", "structured")
 

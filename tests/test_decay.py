@@ -167,6 +167,22 @@ class TestAsPermutation:
         with pytest.raises(ValueError, match="not a permutation"):
             as_permutation([0, 2])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "order,named",
+        [
+            ([99999999999999999999999, 0], "[99999999999999999999999, 0]"),
+            (np.array([2**63, 0], dtype=np.uint64), "[9223372036854775808, 0]"),
+            # numpy holds 2**63 and 0 together only as floats
+            ([2**63, 0], "[9.223372036854776e+18, 0.0]"),
+        ],
+        ids=["python-int", "uint64", "float"],
+    )
+    def test_rejects_entries_beyond_int64(self, order, named):
+        with pytest.raises(ValueError) as info:
+            as_permutation(order)
+        assert str(info.value) == f"order {named} is not a permutation of 0..1"
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
             as_permutation([0, 1], n=3)

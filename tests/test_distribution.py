@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from decaysched import (
     ProbabilityVector,
+    ScheduleMetrics,
     SuccessCountPmf,
     as_probability_vector,
-    expected_successes,
-    prob_all_success,
     success_count_pmf,
 )
 
@@ -129,8 +128,9 @@ class TestSuccessCountPmfValues:
         # at-processing-time values (0.8, 0.8, 0.5, 0.4): all four succeed
         # with probability 0.128 and 2.5 succeed on average
         p1 = [0.8, 0.8, 0.5, 0.4]
-        assert abs(prob_all_success(p1) - 0.128) < 1e-12
-        assert abs(expected_successes(p1) - 2.5) < 1e-12
+        metrics = ScheduleMetrics(p1)
+        assert abs(metrics.prob_all_success - 0.128) < 1e-12
+        assert abs(metrics.expected_successes - 2.5) < 1e-12
         pmf = success_count_pmf(p1)
         assert abs(pmf[4] - 0.128) < 1e-12
         assert abs(pmf.mean() - 2.5) < 1e-12
@@ -147,12 +147,12 @@ class TestDistributionProperties:
     @given(probability_lists)
     def test_mean_equals_sum_of_probabilities(self, probs):
         pmf = success_count_pmf(probs)
-        assert abs(pmf.mean() - expected_successes(probs)) <= 1e-9
+        assert abs(pmf.mean() - ScheduleMetrics(probs).expected_successes) <= 1e-9
 
     @given(probability_lists)
     def test_top_entry_equals_product(self, probs):
         pmf = success_count_pmf(probs)
-        assert abs(pmf[pmf.n] - prob_all_success(probs)) <= 1e-12
+        assert abs(pmf[pmf.n] - ScheduleMetrics(probs).prob_all_success) <= 1e-12
 
     @given(probability_lists)
     def test_bottom_entry_equals_product_of_failures(self, probs):
@@ -172,5 +172,6 @@ class TestDistributionProperties:
             rtol=0.0,
             atol=1e-12,
         )
-        assert expected_successes(probs) == pytest.approx(expected_successes(shuffled), abs=1e-12)
-        assert prob_all_success(probs) == pytest.approx(prob_all_success(shuffled), abs=1e-12)
+        before, after = ScheduleMetrics(probs), ScheduleMetrics(shuffled)
+        assert before.expected_successes == pytest.approx(after.expected_successes, abs=1e-12)
+        assert before.prob_all_success == pytest.approx(after.prob_all_success, abs=1e-12)
