@@ -73,13 +73,19 @@ def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.
     return best[:, -1]
 
 
-def best_permutation(stage_item: np.ndarray, use_product: bool) -> tuple[float, np.ndarray]:
+def best_permutation(table: np.ndarray, use_product: bool) -> tuple[float, np.ndarray]:
     """Maximize sum (or product) of one entry per row of an n-by-n value table.
 
-    Entry ``(i, j)`` is item ``j``'s value at stage ``i``; entries must be
-    non-negative.  Values are folded stage by stage, as an enumeration of
-    all n! orders would fold them, and ties resolve to the lexicographically
-    smallest permutation.  Returns ``(best_value, best_permutation)``.
+    Entry ``(i, j)`` is item ``j``'s value at stage ``i``.  Values are
+    folded stage by stage, as an enumeration of all n! orders would fold
+    them, and ties resolve to the lexicographically smallest permutation.
+    Returns ``(best_value, best_permutation)``.
+
+    Precondition, not checked here: ``table`` is a non-empty, square
+    float64 array with no negative or NaN entry, as
+    ``scheduler.stage_item_matrix`` builds it.  The search relies on it:
+    ``x * c`` rounds monotonically in ``x`` only for ``c >= 0``, and a NaN
+    optimum equals no fold.
 
     The order is built one stage at a time.  Each stage runs one batched
     subset search, from every remaining item's fold onto the actual prefix
@@ -87,11 +93,6 @@ def best_permutation(stage_item: np.ndarray, use_product: bool) -> tuple[float, 
     reaches the optimum.  The first stage's searches cover every order, so
     their maximum is the optimum; no separate pass finds it.
     """
-    table = np.ascontiguousarray(stage_item, dtype=np.float64)
-    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.shape[0] == 0:
-        raise ValueError(f"stage_item must be a non-empty square matrix, got shape {table.shape}")
-    if np.any(table < 0.0):
-        raise ValueError("stage_item entries must be non-negative")
     n = table.shape[0]
     value = 1.0 if use_product else 0.0
     remaining = np.arange(n, dtype=np.int64)
@@ -125,21 +126,18 @@ def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[in
     is live when its threshold is at or above the smallest draw: every
     served value is at least that draw, so a stage below it passes in every
     row.  For non-decreasing thresholds the compared stages are exactly the
-    live ones.  Draws and thresholds must not be NaN; an infinite threshold
-    is live and fails every row.
+    live ones.  An infinite threshold is live and fails every row.
+
+    Precondition, not checked here: ``draws`` is a float64 array of shape
+    ``(rows, n)`` and ``thresholds`` one of shape ``(n,)``, neither holding
+    NaN, as ``analysis.positivity_report_montecarlo`` passes them.
     """
-    mat = np.ascontiguousarray(draws, dtype=np.float64)
-    thr = np.ascontiguousarray(thresholds, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError(f"draws must be two-dimensional, got shape {mat.shape}")
-    if thr.ndim != 1 or thr.size != mat.shape[1]:
-        raise ValueError(f"thresholds must have length {mat.shape[1]}, got shape {thr.shape}")
-    n = mat.shape[1]
-    s = np.sort(mat, axis=1)
-    live = np.flatnonzero(thr >= s[:, :1].min(initial=np.inf))
+    n = draws.shape[1]
+    s = np.sort(draws, axis=1)
+    live = np.flatnonzero(thresholds >= s[:, :1].min(initial=np.inf))
     first = int(live[0]) if live.size else n
     # np.all folds a short row slowly, so lay the comparison out stage by
     # stage; descending serves column j at stage n - 1 - j
-    ascending = np.greater(s[:, first:], thr[first:], order="F").all(axis=1)
-    descending = np.greater(s[:, : n - first], thr[::-1][: n - first], order="F").all(axis=1)
+    ascending = np.greater(s[:, first:], thresholds[first:], order="F").all(axis=1)
+    descending = np.greater(s[:, : n - first], thresholds[::-1][: n - first], order="F").all(axis=1)
     return int(ascending.sum()), int(descending.sum())

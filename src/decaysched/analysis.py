@@ -173,38 +173,6 @@ def _weakest_first(model: PopulationModel, thresholds: np.ndarray, first: int) -
     return float(min(max(value, 0.0), 1.0))
 
 
-def _simulate(
-    model: PopulationModel, trials: int, seed: int
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Monte Carlo ``(estimate, std_error)`` for ascending, then descending service.
-
-    Each block of draws is drawn and sorted once and counted for both
-    orders, so the two estimates are paired on one seeded stream.  A block
-    holds at most ``_MC_ELEMENTS`` draws (at least one row), so memory stays
-    bounded whatever ``n`` and ``trials`` are.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    thresholds = linear_decay_sequence(model.decay_step, model.n)
-    rng = np.random.default_rng(seed)
-    ascending = descending = 0
-    block = max(1, _MC_ELEMENTS // model.n)
-    remaining = trials
-    while remaining > 0:
-        rows = min(remaining, block)
-        draws = rng.uniform(model.low, model.high, size=(rows, model.n))
-        up, down = _kernels.count_positive_trials(draws, thresholds)
-        ascending += up
-        descending += down
-        remaining -= rows
-
-    def estimate(hits: int) -> tuple[float, float]:
-        p = hits / trials
-        return p, math.sqrt(p * (1.0 - p) / trials)
-
-    return estimate(ascending), estimate(descending)
-
-
 def positivity_report(model: PopulationModel) -> PositivityReport:
     """Deterministic report: closed-form strongest-first, exact recursion weakest-first.
 
@@ -229,9 +197,32 @@ def positivity_report_montecarlo(
     """Simulated report, with each strategy's binomial standard error.
 
     Both strategies are counted on the same ``trials`` draws of ``n``
-    values.  Bit-reproducible for a given ``(model, trials, seed)``: draws
-    come from a PCG64 generator seeded explicitly, consumed in a fixed order
+    values: each block of draws is drawn and sorted once and counted for
+    both orders.  A block holds at most ``_MC_ELEMENTS`` draws (at least
+    one row), so memory stays bounded whatever ``n`` and ``trials`` are.
+    Bit-reproducible for a given ``(model, trials, seed)``: draws come from
+    a PCG64 generator seeded explicitly, consumed in a fixed order
     regardless of blocking.
     """
-    (est_w, se_w), (est_s, se_s) = _simulate(model, trials, seed)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    thresholds = linear_decay_sequence(model.decay_step, model.n)
+    rng = np.random.default_rng(seed)
+    ascending = descending = 0
+    block = max(1, _MC_ELEMENTS // model.n)
+    remaining = trials
+    while remaining > 0:
+        rows = min(remaining, block)
+        draws = rng.uniform(model.low, model.high, size=(rows, model.n))
+        up, down = _kernels.count_positive_trials(draws, thresholds)
+        ascending += up
+        descending += down
+        remaining -= rows
+
+    def estimate(hits: int) -> tuple[float, float]:
+        p = hits / trials
+        return p, math.sqrt(p * (1.0 - p) / trials)
+
+    # ascending service is weakest first, descending strongest first
+    (est_w, se_w), (est_s, se_s) = estimate(ascending), estimate(descending)
     return PositivityReport(est_s, est_w, "montecarlo", se_s, se_w)

@@ -18,6 +18,7 @@ the offending field), 1 on internal errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -131,10 +132,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = analysis.positivity_report_montecarlo(model, args.trials, args.seed)
     _emit(
         {
-            "n": model.n,
-            "low": model.low,
-            "high": model.high,
-            "decay_step": model.decay_step,
+            **dataclasses.asdict(model),
             "trials": args.trials,
             "seed": args.seed,
             "method": report.method,
@@ -153,10 +151,7 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
     report = analysis.positivity_report(model)
     _emit(
         {
-            "n": model.n,
-            "low": model.low,
-            "high": model.high,
-            "decay_step": model.decay_step,
+            **dataclasses.asdict(model),
             "method": report.method,
             "strongest_first": report.prob_strongest_first_positive,
             "weakest_first": report.prob_weakest_first_positive,
@@ -182,11 +177,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.format == "structured":
         _emit(
             {
-                "n": matrix.n,
+                **dataclasses.asdict(model),
                 "seed": args.seed,
-                "low": model.low,
-                "high": model.high,
-                "decay_step": model.decay_step,
                 "initial_probabilities": [float(p) for p in matrix.initial_probabilities],
                 "cells": [[float(v) for v in row] for row in matrix.cells],
             },

@@ -19,7 +19,6 @@ __all__ = [
     "AdditiveDecay",
     "MultiplicativeDecay",
     "DecaySpec",
-    "as_permutation",
     "linear_decay_sequence",
     "stage_probabilities",
 ]
@@ -94,30 +93,24 @@ class MultiplicativeDecay:
 DecaySpec = AdditiveDecay | MultiplicativeDecay
 
 
-def as_permutation(order, n: int | None = None) -> np.ndarray:
-    """Validate ``order`` as a permutation of ``0..len-1`` (optionally of size ``n``)."""
+def _as_permutation(order, n: int) -> np.ndarray:
+    """Validate ``order`` as a permutation of ``0..n-1``.
+
+    Entries may be integers, integral floats or Python objects such as
+    integers beyond int64.  numpy compares all of these with the int64
+    range exactly, so the comparison runs on the entries as given and the
+    cast to int64 follows it.
+    """
     arr = np.asarray(order)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("order must be a non-empty one-dimensional sequence")
-    if n is not None and arr.size != n:
+    if arr.size != n:
         raise ValueError(f"order has length {arr.size}, expected {n}")
-
-    def not_a_permutation() -> ValueError:
-        return ValueError(f"order {arr.tolist()} is not a permutation of 0..{arr.size - 1}")
-
-    if arr.dtype.kind != "i":
-        if arr.dtype.kind not in "bufO":
-            raise ValueError("order must contain integers")
-        # an entry outside 0..size-1 is in no permutation; rejecting it before
-        # the int64 cast keeps the cast exact, as some integers do not fit int64
-        if not ((arr >= 0) & (arr < arr.size)).all():
-            raise not_a_permutation()
-        cast = arr.astype(np.int64)
-        if not np.array_equal(cast, arr):
-            raise ValueError("order must contain integers")
-        arr = cast
+    if arr.dtype.kind not in "iufO" or (arr.dtype.kind == "f" and (np.trunc(arr) != arr).any()):
+        raise ValueError("order must contain integers")
     if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-        raise not_a_permutation()
+        typed = np.asarray(order, dtype=object).tolist()
+        raise ValueError(f"order {typed} is not a permutation of 0..{arr.size - 1}")
     return arr.astype(np.int64)
 
 

@@ -21,8 +21,8 @@ from .decay import (
     AdditiveDecay,
     DecaySpec,
     MultiplicativeDecay,
+    _as_permutation,
     _decayed,
-    as_permutation,
     stage_probabilities,
 )
 from .distribution import (
@@ -118,7 +118,7 @@ def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
     at-processing-time probabilities.
     """
     pv = as_probability_vector(p0)
-    perm = as_permutation(order, n=pv.n)
+    perm = _as_permutation(order, n=pv.n)
     return ScheduleMetrics(stage_probabilities(pv.probs[perm], decay))
 
 

@@ -1,4 +1,5 @@
 import ast
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +21,11 @@ import decaysched.analysis as analysis
 from decaysched import (
     PopulationModel,
     PositivityReport,
+    linear_decay_sequence,
     positivity_report,
     positivity_report_montecarlo,
 )
+from decaysched._kernels import count_positive_trials
 
 # 13 items drawn on (0.5, 1) losing 0.06 per stage
 REFERENCE_MODEL = PopulationModel(n=13, low=0.5, high=1.0, decay_step=0.06)
@@ -367,7 +370,7 @@ class TestMonteCarlo:
         model = PopulationModel(n=1000, low=0.5, high=1.0, decay_step=0.0006)
         tracemalloc.start()
         try:
-            analysis._simulate(model, 20_000, 0)
+            positivity_report_montecarlo(model, 20_000, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -425,13 +428,18 @@ class TestPositivityReport:
         assert report.prob_weakest_first_positive == 1.0
 
     def test_montecarlo_report_matches_direct_calls(self):
-        report = positivity_report_montecarlo(REFERENCE_MODEL, 20_000, 77)
-        (est_w, se_w), (est_s, se_s) = analysis._simulate(REFERENCE_MODEL, 20_000, 77)
+        # the report's blocks draw the same stream as one block of every trial
+        model, trials = REFERENCE_MODEL, 20_000
+        report = positivity_report_montecarlo(model, trials, 77)
+        draws = np.random.default_rng(77).uniform(model.low, model.high, size=(trials, model.n))
+        thresholds = linear_decay_sequence(model.decay_step, model.n)
+        ascending, descending = count_positive_trials(draws, thresholds)
+        p_w, p_s = ascending / trials, descending / trials
         assert report.method == "montecarlo"
-        assert report.prob_weakest_first_positive == est_w
-        assert report.prob_strongest_first_positive == est_s
-        assert report.weakest_first_std_error == se_w
-        assert report.strongest_first_std_error == se_s
+        assert report.prob_weakest_first_positive == p_w
+        assert report.prob_strongest_first_positive == p_s
+        assert report.weakest_first_std_error == math.sqrt(p_w * (1.0 - p_w) / trials)
+        assert report.strongest_first_std_error == math.sqrt(p_s * (1.0 - p_s) / trials)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="method"):

@@ -371,8 +371,7 @@ class TestCliEvaluate:
             ["evaluate", "--scenario", str(scenario), "--order", f"{index},0"], capsys
         )
         assert (code, out) == (2, "")
-        assert err.count("\n") == 1
-        assert err.startswith("error: order [") and "is not a permutation of 0..1" in err
+        assert err == f"error: order [{index}, 0] is not a permutation of 0..1\n"
 
     def test_missing_file_is_a_validation_error(self, capsys):
         code, _, err = run_cli(["evaluate", "--scenario", "/does/not/exist.json"], capsys)
@@ -601,9 +600,9 @@ class TestCliSimulateAndPositivity:
 
         def simulate(model, trials, seed):
             calls.append(trials)
-            return (1.0, 0.0), (1.0, 0.0)
+            return decaysched.analysis.PositivityReport(1.0, 1.0, "montecarlo")
 
-        monkeypatch.setattr(decaysched.analysis, "_simulate", simulate)
+        monkeypatch.setattr(decaysched.analysis, "positivity_report_montecarlo", simulate)
         argv = ["simulate", "--n", str(n), "--trials"]
         code, out, err = run_cli([*argv, str(limit + 1)], capsys)
         assert (code, out, calls) == (2, "", [])

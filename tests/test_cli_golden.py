@@ -48,6 +48,18 @@ CASES = {
         ["simulate", "--n", "6", "--decay", "0.15", "--low", "0.2", "--high", "0.9",
          "--trials", "20000", "--seed", "42"],
     ),
+    # at n = 10000 a Monte Carlo block holds 6 rows, so 13 trials run as
+    # blocks of 6, 6 and 1; --low 0 leaves estimates that a block miscount moves
+    "simulate-partial-block-weakest": (
+        None,
+        ["simulate", "--n", "10000", "--trials", "13", "--seed", "5", "--low", "0",
+         "--decay", "0.00009"],
+    ),
+    "simulate-partial-block-strongest": (
+        None,
+        ["simulate", "--n", "10000", "--trials", "13", "--seed", "5", "--low", "0",
+         "--decay", "1e-8"],
+    ),
     "positivity-default": (None, ["positivity"]),
     "positivity-model": (
         None, ["positivity", "--n", "8", "--decay", "0.05", "--low", "0", "--high", "1"]

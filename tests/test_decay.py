@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from decaysched import (
     AdditiveDecay,
     MultiplicativeDecay,
-    as_permutation,
     linear_decay_sequence,
     stage_probabilities,
 )
+from decaysched.decay import _as_permutation
 
 probability_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=10
@@ -151,21 +151,28 @@ class TestStageProbabilitiesDispatch:
 
 class TestAsPermutation:
     def test_accepts_valid_orders(self):
-        np.testing.assert_array_equal(as_permutation([2, 0, 1]), [2, 0, 1])
-        np.testing.assert_array_equal(as_permutation(np.array([0])), [0])
+        np.testing.assert_array_equal(_as_permutation([2, 0, 1], 3), [2, 0, 1])
+        np.testing.assert_array_equal(_as_permutation(np.array([0]), 1), [0])
 
     def test_accepts_integral_floats(self):
-        np.testing.assert_array_equal(as_permutation([1.0, 0.0]), [1, 0])
+        np.testing.assert_array_equal(_as_permutation([1.0, 0.0], 2), [1, 0])
 
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError, match="integers"):
-            as_permutation([0.5, 1.0])
+            _as_permutation([0.5, 1.0], 2)
+
+    def test_rejects_booleans(self):
+        # a mask passed by mistake is not read as the indices 1 and 0
+        with pytest.raises(ValueError, match="must contain integers"):
+            _as_permutation([True, False], 2)
+        with pytest.raises(ValueError, match="must contain integers"):
+            _as_permutation(np.array([True]), 1)
 
     def test_rejects_duplicates_and_gaps(self):
         with pytest.raises(ValueError, match="not a permutation"):
-            as_permutation([0, 0, 1])
+            _as_permutation([0, 0, 1], 3)
         with pytest.raises(ValueError, match="not a permutation"):
-            as_permutation([0, 2])
+            _as_permutation([0, 2], 2)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -173,21 +180,22 @@ class TestAsPermutation:
         [
             ([99999999999999999999999, 0], "[99999999999999999999999, 0]"),
             (np.array([2**63, 0], dtype=np.uint64), "[9223372036854775808, 0]"),
-            # numpy holds 2**63 and 0 together only as floats
-            ([2**63, 0], "[9.223372036854776e+18, 0.0]"),
+            # numpy holds 2**63 and 0 together only as floats; the message
+            # shows the entries as given
+            ([2**63, 0], "[9223372036854775808, 0]"),
         ],
         ids=["python-int", "uint64", "float"],
     )
     def test_rejects_entries_beyond_int64(self, order, named):
         with pytest.raises(ValueError) as info:
-            as_permutation(order)
+            _as_permutation(order, 2)
         assert str(info.value) == f"order {named} is not a permutation of 0..1"
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
-            as_permutation([0, 1], n=3)
+            _as_permutation([0, 1], 3)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
-            as_permutation([])
+            _as_permutation([], 0)
 
