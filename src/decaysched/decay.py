@@ -1,15 +1,15 @@
 """Decay laws mapping initial success probabilities to at-processing-time values.
 
 Two laws are supported.  Under the additive law, the item served at stage
-``i`` loses ``d_i`` from its initial probability, clamped at zero:
-``P1(i) = (P0(i) - d_i)^+``.  Under the multiplicative law it retains a
-factor per elapsed stage: ``P1(i) = P0(i) * p**(i - 1)``.  In both, the
-first-served item suffers no decay (stage 1 starts at time 0).
+``i`` loses ``rate * (i - 1)`` from its initial probability, clamped at zero:
+``P1(i) = (P0(i) - rate * (i - 1))^+``.  Under the multiplicative law it
+retains a factor per elapsed stage: ``P1(i) = P0(i) * p**(i - 1)``.  In both,
+the first-served item suffers no decay (stage 1 starts at time 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,49 +32,37 @@ def linear_decay_sequence(rate: float, n: int) -> np.ndarray:
     """
     if not 0.0 <= rate < np.inf:
         raise ValueError(f"decay rate must be a finite number >= 0, got {rate}")
-    if n < 1:
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")
     # a finite rate may still overflow; the inf it leaves is for callers to reject
     with np.errstate(over="ignore"):
         return rate * np.arange(n, dtype=np.float64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AdditiveDecay:
-    """Additive decay: per-stage drops ``d_1..d_n`` (non-decreasing, >= 0)."""
+    """Additive decay over ``n`` stages: stage ``i`` (1-based) drops ``rate * (i - 1)``.
 
-    decay_per_stage: np.ndarray
+    ``decay_per_stage`` holds those ``n`` drops, computed once by
+    ``linear_decay_sequence``.
+    """
+
+    rate: float
+    n: int
+    decay_per_stage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.decay_per_stage, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("decay_per_stage must be a non-empty one-dimensional sequence")
-        if not np.isfinite(arr).all():
-            raise ValueError("decay_per_stage entries must be finite")
-        if (arr < 0.0).any():
-            i = int(np.argmax(arr < 0.0))
-            raise ValueError(f"decay_per_stage[{i}] = {arr[i]} is negative")
-        if (np.diff(arr) < 0.0).any():
-            raise ValueError("decay_per_stage must be non-decreasing")
-        arr.flags.writeable = False
-        object.__setattr__(self, "decay_per_stage", arr)
+        drops = linear_decay_sequence(self.rate, self.n)
+        if not np.isfinite(drops[-1]):
+            raise ValueError(f"decay rate {self.rate} overflows over {self.n} stages")
+        drops.flags.writeable = False
+        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "decay_per_stage", drops)
 
     @classmethod
     def linear(cls, rate: float, n: int) -> "AdditiveDecay":
-        """Canonical linear case: the stage-``i`` drop is ``rate * (i - 1)``."""
-        drops = linear_decay_sequence(rate, n)
-        if not np.isfinite(drops[-1]):
-            raise ValueError(f"decay rate {rate} overflows over {n} stages")
-        return cls(drops)
-
-    @property
-    def n(self) -> int:
-        return self.decay_per_stage.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdditiveDecay):
-            return NotImplemented
-        return np.array_equal(self.decay_per_stage, other.decay_per_stage)
+        """The same law as ``AdditiveDecay(rate, n)``."""
+        return cls(rate, n)
 
 
 @dataclass(frozen=True)

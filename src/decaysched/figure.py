@@ -42,7 +42,7 @@ class FigureMatrix:
         pv = as_probability_vector(self.initial_probabilities)
         if (np.diff(pv.probs) < 0.0).any():
             raise ValueError("initial_probabilities must be sorted ascending")
-        cells = stage_item_matrix(pv, AdditiveDecay.linear(self.decay_step, pv.n))
+        cells = stage_item_matrix(pv, AdditiveDecay(self.decay_step, pv.n))
         cells.flags.writeable = False
         object.__setattr__(self, "initial_probabilities", pv)
         object.__setattr__(self, "cells", cells)

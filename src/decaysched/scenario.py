@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import AdditiveDecay, DecaySpec, MultiplicativeDecay, linear_decay_sequence
+from .decay import AdditiveDecay, DecaySpec, MultiplicativeDecay
 from .distribution import ProbabilityVector, as_probability_vector
 from .scheduler import Objective
 
@@ -114,7 +114,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         rate = _require_number(raw_decay["rate"], "decay.rate")
         if rate < 0.0:
             raise ValueError(f"decay.rate = {rate} is negative")
-        decay: DecaySpec = AdditiveDecay.linear(rate, n)
+        decay: DecaySpec = AdditiveDecay(rate, n)
     elif decay_type == "multiplicative":
         extra = set(raw_decay) - {"type", "factor"}
         if extra:
@@ -147,21 +147,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
 def serialize_scenario(config: ScenarioConfig) -> str:
     """Render a ScenarioConfig as a scenario document; exact round-trip.
 
-    Only linear additive decay sequences are representable (the format stores
-    a single rate); arbitrary non-decreasing sequences are rejected.
+    An additive law is written as its ``rate`` and a multiplicative one as
+    its ``factor``, so every valid config has a document.
     """
     doc: dict[str, object] = {
         "probabilities": [float(p) for p in config.probabilities],
         "objective": config.objective.value,
     }
     if isinstance(config.decay, AdditiveDecay):
-        d = config.decay.decay_per_stage
-        rate = float(d[1] - d[0]) if d.size > 1 else 0.0
-        if not np.array_equal(d, linear_decay_sequence(rate, d.size)):
-            raise ValueError(
-                "only linear additive decay sequences can be serialized to the scenario format"
-            )
-        doc["decay"] = {"type": "additive", "rate": rate}
+        doc["decay"] = {"type": "additive", "rate": config.decay.rate}
     else:
         doc["decay"] = {"type": "multiplicative", "factor": config.decay.factor}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

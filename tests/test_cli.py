@@ -184,13 +184,34 @@ class TestScenarioRoundTrip:
         config = ScenarioConfig(ProbabilityVector(np.array(probs)), decay, objective)
         assert parse_scenario(serialize_scenario(config)) == config
 
-    def test_nonlinear_additive_is_not_serializable(self):
-        config = ScenarioConfig(
-            ProbabilityVector(np.array([0.5, 0.5, 0.5])),
-            AdditiveDecay(np.array([0.0, 0.1, 0.15])),
-        )
-        with pytest.raises(ValueError, match="linear"):
-            serialize_scenario(config)
+    @settings(max_examples=100, derandomize=True)
+    @given(
+        probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        decay=st.one_of(
+            st.builds(
+                lambda rate: {"type": "additive", "rate": rate},
+                st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0),
+            ),
+            st.builds(
+                lambda factor: {"type": "multiplicative", "factor": factor},
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            ),
+        ),
+        objective=st.sampled_from([None, "expected", "all"]),
+    )
+    def test_document_round_trip_property(self, probs, decay, objective):
+        doc = {"probabilities": probs, "decay": decay}
+        if objective is not None:
+            doc["objective"] = objective
+        canonical = {**doc, "objective": objective or "expected"}
+        written = serialize_scenario(parse_scenario(json.dumps(doc)))
+        assert written == json.dumps(canonical, sort_keys=True, indent=2) + "\n"
+
+    # a one-item law's only drop is 0.0 whatever its rate; -0.0 keeps its sign
+    @pytest.mark.parametrize("rate", ["0.3", "-0.0"])
+    def test_one_item_additive_keeps_its_rate(self, rate):
+        doc = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": %s}}' % rate
+        assert f'"rate": {rate}' in serialize_scenario(parse_scenario(doc))
 
     def test_scenario_config_validates_decay_length(self):
         with pytest.raises(ValueError, match="stages"):

@@ -39,6 +39,16 @@ class TestLinearDecaySequence:
         with pytest.raises(ValueError, match=f"finite number >= 0, got {rate}"):
             linear_decay_sequence(rate, 3)
 
+    @pytest.mark.parametrize("build", [linear_decay_sequence, AdditiveDecay])
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_rejects_non_integral_length(self, build, n):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+            build(0.1, n)
+
+    def test_accepts_numpy_integer_length(self):
+        assert linear_decay_sequence(0.1, np.int64(3)).size == 3
+        assert AdditiveDecay(0.1, np.int64(3)) == AdditiveDecay(0.1, 3)
+
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_left_to_callers_without_a_warning(self):
         assert linear_decay_sequence(1e308, 3).tolist() == [0.0, 1e308, np.inf]
@@ -49,18 +59,7 @@ class TestAdditiveDecay:
         decay = AdditiveDecay.linear(0.1, 4)
         np.testing.assert_array_equal(decay.decay_per_stage, [0.0, 0.1, 0.2, 0.30000000000000004])
         assert decay.n == 4
-
-    def test_accepts_general_nondecreasing_sequence(self):
-        decay = AdditiveDecay(np.array([0.0, 0.05, 0.05, 0.4]))
-        assert decay.n == 4
-
-    def test_rejects_decreasing_sequence(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            AdditiveDecay(np.array([0.0, 0.2, 0.1]))
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match=r"decay_per_stage\[0\]"):
-            AdditiveDecay(np.array([-0.1, 0.0]))
+        assert decay == AdditiveDecay(0.1, 4)
 
     def test_sequence_is_frozen(self):
         decay = AdditiveDecay.linear(0.1, 3)
@@ -71,6 +70,10 @@ class TestAdditiveDecay:
         assert AdditiveDecay.linear(0.1, 3) == AdditiveDecay.linear(0.1, 3)
         assert AdditiveDecay.linear(0.1, 3) != AdditiveDecay.linear(0.2, 3)
         assert AdditiveDecay.linear(0.1, 3) != MultiplicativeDecay(0.5)
+        # a one-stage law has the single drop 0.0 whatever its rate
+        assert AdditiveDecay(0.3, 1) != AdditiveDecay(0.0, 1)
+        assert AdditiveDecay(0.1, 3) != AdditiveDecay(0.1, 4)
+        assert hash(AdditiveDecay(0.1, 3)) == hash(AdditiveDecay(0.1, 3))
 
 
 class TestMultiplicativeDecay:
@@ -87,22 +90,22 @@ class TestApplyAdditive:
     """The additive law as ``stage_probabilities`` applies it."""
 
     def test_worked_vector(self):
-        p1 = stage_probabilities([0.8, 0.9, 0.7, 0.7], AdditiveDecay([0.0, 0.1, 0.2, 0.3]))
+        p1 = stage_probabilities([0.8, 0.9, 0.7, 0.7], AdditiveDecay(0.1, 4))
         np.testing.assert_allclose(p1.probs, [0.8, 0.8, 0.5, 0.4], rtol=0.0, atol=1e-12)
 
     def test_clamps_at_zero_exactly(self):
-        p1 = stage_probabilities([0.8, 0.9, 0.1, 0.2], AdditiveDecay([0.0, 0.1, 0.2, 0.3]))
+        p1 = stage_probabilities([0.8, 0.9, 0.1, 0.2], AdditiveDecay(0.1, 4))
         assert p1[2] == 0.0
         assert p1[3] == 0.0
         np.testing.assert_allclose(p1.probs[:2], [0.8, 0.8], rtol=0.0, atol=1e-12)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="decay has 1 stages, expected 2"):
-            stage_probabilities([0.5, 0.5], AdditiveDecay([0.0]))
+            stage_probabilities([0.5, 0.5], AdditiveDecay(0.0, 1))
 
     def test_rejects_negative_decay(self):
-        with pytest.raises(ValueError, match=r"decay_per_stage\[1\]"):
-            stage_probabilities([0.5, 0.5], AdditiveDecay([0.0, -0.1]))
+        with pytest.raises(ValueError, match="decay rate must be a finite number >= 0"):
+            stage_probabilities([0.5, 0.5], AdditiveDecay(-0.1, 2))
 
     @given(probability_lists, st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     def test_result_bounded_by_input(self, probs, rate):
