@@ -7,7 +7,7 @@ identical must pass this file unchanged.  A change that alters results on
 purpose records them again with ``PYTHONPATH=src python
 tests/test_library_golden.py`` and says so.
 
-The inputs are seeded: every n from 1 to 8 under both laws, with uniform
+The inputs are seeded: every n from 1 to 10 under both laws, with uniform
 tables, tie-heavy tables on a 0.1 grid and steep steps that clamp, for the
 exhaustive search under both objectives; ``evaluate_order`` at n = 4, 50
 and 500 in four orders; and figure tables at the paper's n = 13.
@@ -109,7 +109,7 @@ def figure_case(low: float, high: float, decay_step: float, seed: int) -> dict:
 CASES = {
     **{
         f"table-n{n}-{law}-{kind}": partial(table_case, n, law, kind)
-        for n in range(1, 9)
+        for n in range(1, 11)
         for law in LAWS
         for kind in TABLE_KINDS
     },
