@@ -59,11 +59,13 @@ class PopulationModel:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not (0.0 <= self.low < self.high <= 1.0):
+        if isinstance(self.low, bool) or isinstance(self.high, bool) or not (
+            0.0 <= self.low < self.high <= 1.0
+        ):
             raise ValueError(
                 f"bounds must satisfy 0 <= low < high <= 1, got low={self.low} high={self.high}"
             )
-        if not (math.isfinite(self.decay_step) and self.decay_step >= 0.0):
+        if isinstance(self.decay_step, bool) or not 0.0 <= self.decay_step < math.inf:
             raise ValueError(f"decay_step must be a finite number >= 0, got {self.decay_step}")
 
 

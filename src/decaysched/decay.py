@@ -30,11 +30,11 @@ def linear_decay_sequence(rate: float, n: int) -> np.ndarray:
     >>> linear_decay_sequence(0.1, 4).tolist()
     [0.0, 0.1, 0.2, 0.30000000000000004]
     """
-    if not 0.0 <= rate < np.inf:
+    if isinstance(rate, bool) or not 0.0 <= rate < np.inf:
         raise ValueError(f"decay rate must be a finite number >= 0, got {rate}")
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n}")
-    # a finite rate may still overflow; the inf it leaves is for callers to reject
+    # a finite rate may still overflow; an infinite drop clamps the item to zero
     with np.errstate(over="ignore"):
         return rate * np.arange(n, dtype=np.float64)
 
@@ -44,7 +44,8 @@ class AdditiveDecay:
     """Additive decay over ``n`` stages: stage ``i`` (1-based) drops ``rate * (i - 1)``.
 
     ``decay_per_stage`` holds those ``n`` drops, computed once by
-    ``linear_decay_sequence``.
+    ``linear_decay_sequence``.  A drop that overflows to inf clamps its
+    stage to zero, as any drop beyond the item's probability does.
     """
 
     rate: float
@@ -53,8 +54,6 @@ class AdditiveDecay:
 
     def __post_init__(self) -> None:
         drops = linear_decay_sequence(self.rate, self.n)
-        if not np.isfinite(drops[-1]):
-            raise ValueError(f"decay rate {self.rate} overflows over {self.n} stages")
         drops.flags.writeable = False
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "decay_per_stage", drops)

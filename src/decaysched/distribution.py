@@ -25,20 +25,6 @@ __all__ = [
 PMF_SUM_TOL = 1e-12
 
 
-def _unit_interval_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must contain at least one entry")
-    inside = (arr >= 0.0) & (arr <= 1.0)
-    if not inside.all():
-        i = int(np.argmin(inside))
-        raise ValueError(f"{name}[{i}] = {arr[i]} is outside [0, 1]")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
     """Ordered per-item success probabilities, each in [0, 1], length >= 1.
@@ -50,7 +36,17 @@ class ProbabilityVector:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _unit_interval_array(self.probs, "probs"))
+        arr = np.array(self.probs, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"probabilities must be one-dimensional, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("probabilities must contain at least one entry")
+        inside = (arr >= 0.0) & (arr <= 1.0)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise ValueError(f"probabilities[{i}] = {arr[i]} is outside [0, 1]")
+        arr.flags.writeable = False
+        object.__setattr__(self, "probs", arr)
 
     @property
     def n(self) -> int:

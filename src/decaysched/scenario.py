@@ -10,9 +10,10 @@ Scenario files are JSON objects::
 
 ``decay.type`` is ``additive`` (with ``rate`` >= 0, the per-stage linear
 step) or ``multiplicative`` (with ``factor`` strictly inside (0, 1)).
-``objective`` is optional and defaults to ``expected``.  A top-level
-``interval`` (> 0) is accepted and ignored, so older documents still load;
-``serialize_scenario`` does not write it.
+``objective`` is optional and defaults to ``expected``; no other key is
+accepted.  The parser checks the document's shape and that each number is
+finite; each value's range is checked once, by the type it builds
+(``ProbabilityVector``, ``AdditiveDecay``, ``MultiplicativeDecay``).
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .decay import AdditiveDecay, DecaySpec, MultiplicativeDecay
 from .distribution import ProbabilityVector, as_probability_vector
@@ -76,7 +75,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ValueError(f"scenario document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("scenario document must be a JSON object")
-    unknown = set(doc) - {"probabilities", "decay", "interval", "objective"}
+    unknown = set(doc) - {"probabilities", "decay", "objective"}
     if unknown:
         raise ValueError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
 
@@ -85,19 +84,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     raw_probs = doc["probabilities"]
     if not isinstance(raw_probs, list) or not raw_probs:
         raise ValueError("probabilities must be a non-empty array of numbers")
-    values = []
-    for i, raw in enumerate(raw_probs):
-        v = _require_number(raw, f"probabilities[{i}]")
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"probabilities[{i}] = {v} is outside [0, 1]")
-        values.append(v)
-    n = len(values)
-
-    # accepted for older documents; it enters no computation
-    if "interval" in doc:
-        interval = _require_number(doc["interval"], "interval")
-        if not interval > 0.0:
-            raise ValueError(f"interval must be > 0, got {interval}")
+    probabilities = ProbabilityVector(
+        [_require_number(raw, f"probabilities[{i}]") for i, raw in enumerate(raw_probs)]
+    )
 
     if "decay" not in doc:
         raise ValueError("scenario is missing the 'decay' field")
@@ -112,21 +101,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if "rate" not in raw_decay:
             raise ValueError("additive decay requires a 'rate' field")
         rate = _require_number(raw_decay["rate"], "decay.rate")
-        if rate < 0.0:
-            raise ValueError(f"decay.rate = {rate} is negative")
-        decay: DecaySpec = AdditiveDecay(rate, n)
+        decay: DecaySpec = AdditiveDecay(rate, probabilities.n)
     elif decay_type == "multiplicative":
         extra = set(raw_decay) - {"type", "factor"}
         if extra:
             raise ValueError(f"unknown multiplicative decay field(s): {', '.join(sorted(extra))}")
         if "factor" not in raw_decay:
             raise ValueError("multiplicative decay requires a 'factor' field")
-        factor = _require_number(raw_decay["factor"], "decay.factor")
-        if not 0.0 < factor < 1.0:
-            raise ValueError(
-                f"decay.factor = {factor} is outside the open interval (0, 1)"
-            )
-        decay = MultiplicativeDecay(factor)
+        decay = MultiplicativeDecay(_require_number(raw_decay["factor"], "decay.factor"))
     else:
         raise ValueError(
             f"decay.type must be 'additive' or 'multiplicative', got {decay_type!r}"
@@ -141,7 +123,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 f"objective must be 'expected' or 'all', got {doc['objective']!r}"
             ) from None
 
-    return ScenarioConfig(ProbabilityVector(np.array(values)), decay, objective)
+    return ScenarioConfig(probabilities, decay, objective)
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:

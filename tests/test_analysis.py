@@ -19,6 +19,8 @@ from scipy.integrate import dblquad, tplquad
 
 import decaysched.analysis as analysis
 from decaysched import (
+    AdditiveDecay,
+    MultiplicativeDecay,
     PopulationModel,
     PositivityReport,
     linear_decay_sequence,
@@ -54,6 +56,26 @@ class TestPopulationModel:
             PopulationModel(n=3, low=0.0, high=1.0, decay_step=-0.01)
         with pytest.raises(ValueError, match="decay_step must be a finite number"):
             PopulationModel(n=3, low=0.0, high=1.0, decay_step=float("inf"))
+
+
+# a bool is not a number here, though Python compares it as 0 or 1
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: PopulationModel(n=13, low=False, high=1.0, decay_step=0.06), "bounds must satisfy"),
+        (lambda: PopulationModel(n=13, low=0.0, high=True, decay_step=0.06), "bounds must satisfy"),
+        (lambda: PopulationModel(n=13, low=0.5, high=1.0, decay_step=True),
+         "decay_step must be a finite number >= 0, got True"),
+        (lambda: linear_decay_sequence(True, 3), "decay rate must be a finite number >= 0, got True"),
+        (lambda: AdditiveDecay(False, 3), "decay rate must be a finite number >= 0, got False"),
+        (lambda: MultiplicativeDecay(True), "strictly between 0 and 1, got True"),
+        (lambda: MultiplicativeDecay(False), "strictly between 0 and 1, got False"),
+    ],
+    ids=["low", "high", "decay_step", "rate", "additive", "factor-true", "factor-false"],
+)
+def test_rejects_bool_as_number(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestThresholds:

@@ -44,6 +44,58 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+valid_decays = st.one_of(
+    st.builds(
+        lambda rate: {"type": "additive", "rate": rate},
+        st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0),
+    ),
+    st.builds(
+        lambda factor: {"type": "multiplicative", "factor": factor},
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+)
+
+# JSON text put in place of one value; 1e400 reads as inf and 1e308 overflows
+# an additive law's drops from its third stage on
+RAW_VALUES = ("true", "null", '"x"', "[0.5]", "1e400", "-0.0", "5e-324", "1e308")
+_RAW = "\x00raw"
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid scenario document as text, with at most one mutation."""
+    doc = {
+        "probabilities": draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)),
+        "decay": draw(valid_decays),
+    }
+    objective = draw(st.sampled_from([None, "expected", "all"]))
+    if objective is not None:
+        doc["objective"] = objective
+    paths = [(key,) for key in doc] + [("decay", key) for key in doc["decay"]]
+    paths += [("probabilities", i) for i in range(len(doc["probabilities"]))]
+    mutation = draw(st.sampled_from(["none", "drop", "add", "replace", "truncate"]))
+    raw = None
+    if mutation in ("drop", "replace"):
+        *parents, last = draw(st.sampled_from(paths))
+        target = doc
+        for step in parents:
+            target = target[step]
+        if mutation == "drop":
+            del target[last]
+        else:
+            raw = draw(st.sampled_from(RAW_VALUES))
+            target[last] = _RAW
+    elif mutation == "add":
+        target = draw(st.sampled_from([doc, doc["decay"]]))
+        target[draw(st.sampled_from(["interval", "extra", "type", "rate", "factor"]))] = 0.5
+    text = json.dumps(doc)
+    if raw is not None:
+        text = text.replace(json.dumps(_RAW), raw)
+    if mutation == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
 class TestParseScenario:
     def test_additive_document(self):
         config = parse_scenario(SCENARIO_A)
@@ -59,14 +111,6 @@ class TestParseScenario:
         assert config.decay == MultiplicativeDecay(0.9)
         assert config.objective is Objective.PROB_ALL_SUCCESS
 
-    def test_interval_is_applied(self):
-        # interval is accepted for older documents and enters no computation
-        document = '{"probabilities": [0.5, 0.7], "decay": {"type": "additive", "rate": 0.1}%s}'
-        configs = [parse_scenario(document % extra)
-                   for extra in ('', ', "interval": 1.0', ', "interval": 2.5')]
-        assert configs[0] == configs[1] == configs[2]
-        assert "interval" not in serialize_scenario(configs[2])
-
     def test_rejects_empty_probabilities(self):
         with pytest.raises(ValueError, match="probabilities"):
             parse_scenario('{"probabilities": [], "decay": {"type": "additive", "rate": 0.1}}')
@@ -76,13 +120,13 @@ class TestParseScenario:
             parse_scenario('{"probabilities": [0.5, 1.5], "decay": {"type": "additive", "rate": 0.1}}')
 
     def test_rejects_boundary_factor(self):
-        with pytest.raises(ValueError, match=r"decay\.factor"):
+        with pytest.raises(ValueError, match="multiplicative factor must lie strictly between 0 and 1"):
             parse_scenario(
                 '{"probabilities": [0.5], "decay": {"type": "multiplicative", "factor": 1.0}}'
             )
 
     def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError, match=r"decay\.rate"):
+        with pytest.raises(ValueError, match="decay rate must be a finite number >= 0, got -0.1"):
             parse_scenario('{"probabilities": [0.5], "decay": {"type": "additive", "rate": -0.1}}')
 
     def test_rejects_non_numbers(self):
@@ -94,8 +138,6 @@ class TestParseScenario:
     @pytest.mark.parametrize(
         "document,field",
         [
-            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
-             ' "interval": Infinity}', "interval"),
             ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": NaN}}', r"decay\.rate"),
             ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1e999}}', r"decay\.rate"),
             ('{"probabilities": [NaN], "decay": {"type": "additive", "rate": 0.1}}',
@@ -105,7 +147,7 @@ class TestParseScenario:
             ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1' + "0" * 400 + "}}",
              r"decay\.rate"),
         ],
-        ids=["interval-inf", "rate-nan", "rate-overflow", "probability-nan", "factor-minus-inf",
+        ids=["rate-nan", "rate-overflow", "probability-nan", "factor-minus-inf",
              "rate-huge-int"],
     )
     def test_rejects_non_finite_numbers(self, document, field):
@@ -148,11 +190,21 @@ class TestParseScenario:
                 '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
                 ' "objective": "most"}'
             )
-        with pytest.raises(ValueError, match="interval"):
+        with pytest.raises(ValueError, match=r"unknown scenario field\(s\): interval"):
             parse_scenario(
                 '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
                 ' "interval": 0}'
             )
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(text=mutated_documents())
+    def test_fails_only_with_value_error(self, text):
+        try:
+            config = parse_scenario(text)
+        except ValueError:
+            return
+        assert isinstance(config, ScenarioConfig)
+        assert parse_scenario(serialize_scenario(config)) == config
 
 
 class TestScenarioRoundTrip:
@@ -187,16 +239,7 @@ class TestScenarioRoundTrip:
     @settings(max_examples=100, derandomize=True)
     @given(
         probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
-        decay=st.one_of(
-            st.builds(
-                lambda rate: {"type": "additive", "rate": rate},
-                st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0),
-            ),
-            st.builds(
-                lambda factor: {"type": "multiplicative", "factor": factor},
-                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-            ),
-        ),
+        decay=valid_decays,
         objective=st.sampled_from([None, "expected", "all"]),
     )
     def test_document_round_trip_property(self, probs, decay, objective):
@@ -399,28 +442,25 @@ class TestCliEvaluate:
         assert code == 2
         assert "error:" in err
 
-    def test_infinite_interval_is_a_validation_error(self, tmp_path, capsys):
+    def test_interval_is_an_unknown_field(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(
-            '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1}, "interval": Infinity}'
+            '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1}, "interval": 1.0}'
         )
         code, out, err = run_cli(["evaluate", "--scenario", str(scenario)], capsys)
-        assert code == 2
-        assert out == ""
-        assert "interval must be a finite number" in err
+        assert (code, out, err) == (2, "", "error: unknown scenario field(s): interval\n")
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [2, 3])
     def test_overflowing_rate_names_the_rate(self, n, tmp_path, capsys):
-        # 1e308 * (n - 1) is finite at n = 2 and overflows from n = 3
+        # 1e308 * (n - 1) is finite at n = 2 and overflows from n = 3; both
+        # drops are beyond 0.5, so every stage after the first clamps to 0
         scenario = tmp_path / "scenario.json"
         doc = {"probabilities": [0.5] * n, "decay": {"type": "additive", "rate": 1e308}}
         scenario.write_text(json.dumps(doc))
         code, out, err = run_cli(["evaluate", "--scenario", str(scenario)], capsys)
-        if n == 2:
-            assert (code, err) == (0, "")
-            assert "stage_probabilities: 0.5,0" in out
-        else:
-            assert (code, out, err) == (2, "", "error: decay rate 1e+308 overflows over 3 stages\n")
+        assert (code, err) == (0, "")
+        assert "stage_probabilities: " + ",".join(["0.5"] + ["0"] * (n - 1)) + "\n" in out
 
     def test_invalid_scenario_names_the_field(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -700,13 +740,20 @@ class TestCliFigure:
         [
             ("inf", "decay_step must be a finite number >= 0, got inf"),
             ("-1", "decay_step must be a finite number >= 0, got -1.0"),
-            ("1e308", "decay rate 1e+308 overflows over 13 stages"),
+            ("1e308", None),
         ],
         ids=["inf", "minus-1", "1e308"],
     )
     def test_non_finite_decay_is_one_error_line(self, decay, message, capsys):
         code, out, err = run_cli(["figure", "--decay", decay], capsys)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        if message is not None:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+            return
+        # a finite step whose drops overflow clamps every stage after the first
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 13 and rows[0] != ",".join(["0.000000"] * 13)
+        assert rows[1:] == [",".join(["0.000000"] * 13)] * 12
 
 
 class TestCliPlumbing:

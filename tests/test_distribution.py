@@ -52,9 +52,9 @@ class TestProbabilityVector:
         assert ProbabilityVector(np.array([0.2])) != [0.2]
 
     def test_rejects_out_of_range_with_position(self):
-        with pytest.raises(ValueError, match=r"probs\[1\] = 1.5 is outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"probabilities\[1\] = 1.5 is outside \[0, 1\]"):
             ProbabilityVector(np.array([0.5, 1.5]))
-        with pytest.raises(ValueError, match=r"probs\[0\] = -0.1"):
+        with pytest.raises(ValueError, match=r"probabilities\[0\] = -0.1"):
             ProbabilityVector(np.array([-0.1]))
 
     def test_rejects_empty_and_multidimensional(self):
