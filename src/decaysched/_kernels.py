@@ -11,7 +11,11 @@ enumeration would, and both ``x + c`` and ``x * c`` (for ``c >= 0``) round
 monotonically in ``x``, so the best fold of a subset extends to the best
 fold of its supersets and the optimum is bit-identical to the
 enumeration's.  The order is rebuilt with one batched pass per stage, and
-the first stage's pass also yields the optimum.
+the first stage's pass also yields the optimum.  The batch runs along the
+last axis of every array: the best folds are ``(2^k, batch)``, indexed by
+bitmask, and the tables ``(k, k, batch)``, item-major.  Each subset layer
+gathers whole rows with ``take`` and reduces over the leading axis, the
+last item served; numpy reduces a short trailing axis far more slowly.
 
 The counter sorts each block of trials once and compares only the live
 stages, those whose threshold is at or above the block's smallest draw:
@@ -35,9 +39,11 @@ __all__ = [
 def _subset_layers(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Subsets of k items, one entry per size 1..k.
 
-    Each entry is ``(masks, items, preds)``: the bitmasks of that size, the
-    items in each mask (one row per mask, ascending) and the mask without
-    that item.
+    Each entry is ``(masks, items, preds)``: the L bitmasks of that size,
+    the items in each mask and the mask without that item.  ``items`` and
+    ``preds`` have shape ``(size, L)``: column ``c`` lists mask ``c``'s
+    items in ascending order, so a layer gathers and reduces over its
+    leading axis.
     """
     masks = np.arange(1 << k, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(k)) & 1
@@ -45,8 +51,8 @@ def _subset_layers(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], .
     layers = []
     for size in range(1, k + 1):
         layer = masks[sizes == size]
-        items = np.nonzero(bits[layer])[1].reshape(layer.size, size)
-        layers.append((layer, items, layer[:, None] ^ (1 << items)))
+        items = np.nonzero(bits[layer])[1].reshape(layer.size, size).T.copy()
+        layers.append((layer, items, layer ^ (1 << items)))
     return tuple(layers)
 
 
@@ -59,18 +65,23 @@ def _without_each(m: int) -> np.ndarray:
 def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.ndarray:
     """Best fold of each table in a batch over every order of its k items.
 
-    ``tables`` is stage-major, shape ``(k, batch, k)``: entry ``[i, b, j]`` is
+    ``tables`` is item-major, shape ``(k, k, batch)``: entry ``[i, j, b]`` is
     the value in table ``b`` of item ``j`` at stage ``i``; ``start`` holds
     each table's value before the first stage.  Returns the ``batch`` maxima.
+
+    The best folds are ``(2^k, batch)``, indexed by bitmask.  A layer of L
+    subsets of one size gathers ``(size, L, batch)`` entries and prior folds
+    with ``take`` and keeps the maximum over the leading axis.
     """
-    k, batch, _ = tables.shape
-    best = np.empty((batch, 1 << k))
-    best[:, 0] = start
+    k, _, batch = tables.shape
+    best = np.empty((1 << k, batch))
+    best[0] = start
     for stage, (layer, items, preds) in enumerate(_subset_layers(k)):
-        entries = tables[stage][:, items]
-        folds = best[:, preds] * entries if use_product else best[:, preds] + entries
-        best[:, layer] = folds.max(axis=2)
-    return best[:, -1]
+        entries = tables[stage].take(items, axis=0)
+        prior = best.take(preds, axis=0)
+        folds = prior * entries if use_product else prior + entries
+        best[layer] = folds.max(axis=0)
+    return best[-1]
 
 
 def best_permutation(table: np.ndarray, use_product: bool) -> tuple[float, np.ndarray]:
@@ -104,7 +115,7 @@ def best_permutation(table: np.ndarray, use_product: bool) -> tuple[float, np.nd
         starts = entries * value if use_product else entries + value
         # row r: the items left after serving remaining[r] now
         rest = remaining[_without_each(remaining.size)]
-        folds = _best_folds(table[stage + 1 :][:, rest], starts, use_product)
+        folds = _best_folds(table[stage + 1 :][:, rest.T], starts, use_product)
         if stage == 0:
             target = folds.max()
         pick = int(np.argmax(folds == target))

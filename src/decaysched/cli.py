@@ -222,6 +222,14 @@ def _bounded_int(minimum: int | None = None, maximum: int | None = None):
     return parse
 
 
+def _float(text: str) -> float:
+    """argparse type: a float, with ``-0.0`` read as ``0.0`` so that output never shows ``-0``."""
+    try:
+        return float(text) + 0.0
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=_bounded_int(minimum=0), default=0, help="RNG seed, >= 0 (default: 0)"
@@ -236,13 +244,13 @@ def _add_population_flags(parser: argparse.ArgumentParser, max_n: int) -> None:
         help=f"population size, at most {max_n} (default: 13)",
     )
     parser.add_argument(
-        "--decay", type=float, default=0.06, help="linear decay step per stage (default: 0.06)"
+        "--decay", type=_float, default=0.06, help="linear decay step per stage (default: 0.06)"
     )
     parser.add_argument(
-        "--low", type=float, default=0.5, help="lower bound of the uniform draw (default: 0.5)"
+        "--low", type=_float, default=0.5, help="lower bound of the uniform draw (default: 0.5)"
     )
     parser.add_argument(
-        "--high", type=float, default=1.0, help="upper bound of the uniform draw (default: 1.0)"
+        "--high", type=_float, default=1.0, help="upper bound of the uniform draw (default: 1.0)"
     )
 
 

@@ -625,6 +625,21 @@ class TestCliSimulateAndPositivity:
         assert (code, out) == (2, "")
         assert "decay_step must be a finite number" in err
 
+    @pytest.mark.parametrize(
+        "argv,echo",
+        [
+            (["positivity", "--decay", "-0.0"], "decay_step: 0\n"),
+            (["positivity", "--low", "-0.0", "--format", "structured"], '"low":0.0,'),
+            (["simulate", "--decay", "-0.0", "--trials", "10", "--format", "structured"],
+             '{"decay_step":0.0,'),
+            (["positivity", "--low", "0.9", "--high", "-0.0"], "got low=0.9 high=0.0\n"),
+        ],
+        ids=["decay-text", "low-structured", "simulate-decay-structured", "high-error"],
+    )
+    def test_negative_zero_flags_are_echoed_as_zero(self, argv, echo, capsys):
+        _, out, err = run_cli(argv, capsys)
+        assert echo in out + err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv,keys",

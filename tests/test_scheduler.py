@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaysched import (
     BRUTE_FORCE_MAX_ITEMS,
@@ -34,6 +36,15 @@ KNOWN_CASES = [
 ]
 
 
+def left_fold(table, order, objective):
+    """The table's entries along ``order``, summed or multiplied left to right."""
+    product = objective is Objective.PROB_ALL_SUCCESS
+    value = 1.0 if product else 0.0
+    for stage, item in enumerate(order):
+        value = value * table[stage, item] if product else value + table[stage, item]
+    return value
+
+
 def exhaustive_search(p0, decay, objective):
     """Independent oracle: try every order with plain-Python accumulation.
 
@@ -41,17 +52,10 @@ def exhaustive_search(p0, decay, objective):
     (first maximizer in lexicographic order) are reproduced bit for bit.
     """
     table = stage_item_matrix(p0, decay)
-    n = table.shape[0]
-    product = objective is Objective.PROB_ALL_SUCCESS
     best_value = -np.inf
     best_perm = None
-    for perm in itertools.permutations(range(n)):
-        value = 1.0 if product else 0.0
-        for i in range(n):
-            if product:
-                value = value * table[i, perm[i]]
-            else:
-                value = value + table[i, perm[i]]
+    for perm in itertools.permutations(range(table.shape[0])):
+        value = left_fold(table, perm, objective)
         if value > best_value:
             best_value = value
             best_perm = perm
@@ -212,8 +216,60 @@ class TestBruteForce:
         assert abs(value - 0.0036) <= 1e-12
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+@st.composite
+def benchmark_sized_models(draw):
+    """n = 8..10 items, uniform or on the 0.1 grid, under either decay law.
+
+    Uniform draws lie on the 2^-53 grid, as numpy's generator draws them.
+    With factors of at least 0.01 no product of at most ten entries
+    underflows, so every fold keeps its relative error bound.  Additive
+    rates reach 0.3, so many tables clamp items to zero.
+    """
+    n = draw(st.integers(8, 10))
+    if draw(st.booleans()):
+        p0 = np.array(draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n))) / 2**53
+    else:
+        p0 = np.array(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))) / 10
+    if draw(st.booleans()):
+        decay = AdditiveDecay(draw(st.floats(0.0, 0.3)), n)
+    else:
+        decay = MultiplicativeDecay(draw(st.floats(0.01, 0.99)))
+    return p0, decay
+
+
 class TestOptimalityProperties:
     """The sorted-order strategies achieve the exhaustive optimum."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(benchmark_sized_models(), st.sampled_from(Objective))
+    def test_search_at_benchmark_sizes_agrees_with_theory(self, model, objective):
+        # above n = 8 no enumeration is fast enough, so check against theory.
+        # The returned order must fold to the returned value.  The recommended
+        # order is among those searched, so the value is at least its fold,
+        # exactly.  That order is also optimal for the table's entries before
+        # their one rounding (of p - d, or of p times the stage's factor).  A
+        # fold of nonnegative terms rounds n - 1 times, and the entries' own
+        # rounding adds u to a sum's relative error and n u to a product's.
+        # So the value is at most 2 gamma_n above the sorted fold for a sum,
+        # and 2 gamma_(2n-1) above it for a product
+        p0, decay = model
+        n = p0.size
+        order, value = brute_force_optimal(p0, decay, objective)
+        table = stage_item_matrix(p0, decay)
+        assert left_fold(table, order, objective) == value
+        strategy = recommended_order(decay, objective)
+        sorted_order = np.arange(n) if strategy == "any" else sort_order(p0, strategy)
+        sorted_fold = left_fold(table, sorted_order, objective)
+        roundings = 2 * n - 1 if objective is Objective.PROB_ALL_SUCCESS else n
+        assert sorted_fold <= value <= sorted_fold * (1 + 2 * gamma(roundings))
 
     def test_ascending_maximizes_all_success_additive(self):
         rng = np.random.default_rng(11)
