@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .decay import linear_decay_sequence
+from .decay import _check_positive_int, _linear_drops
 
 __all__ = [
     "PopulationModel",
@@ -57,8 +57,7 @@ class PopulationModel:
     decay_step: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _check_positive_int(self.n, "n")
         if isinstance(self.low, bool) or isinstance(self.high, bool) or not (
             0.0 <= self.low < self.high <= 1.0
         ):
@@ -152,8 +151,7 @@ def _weakest_first(model: PopulationModel, thresholds: np.ndarray, first: int) -
 
     def log_poisson(width: float, size: int) -> np.ndarray:
         """Log pmf at 0..size-1 of the Poisson(n) count in a slab of ``width``."""
-        if width == 0.0:
-            return np.where(np.arange(size) == 0, 0.0, -np.inf)
+        # width > 0: active bounds exceed 0, increase strictly and stay below 1
         mean = n * width
         return np.arange(size) * math.log(mean) - mean - log_factorial[:size]
 
@@ -182,7 +180,7 @@ def positivity_report(model: PopulationModel) -> PositivityReport:
     no stage can fail, and both values are exactly 1.  A threshold too large
     for a float is ``inf``, one that no draw clears.
     """
-    c = linear_decay_sequence(model.decay_step, model.n)
+    c = _linear_drops(model.decay_step, model.n)
     # non-decreasing thresholds make the strongest-first criterion exact, and
     # make the stages that can fail a suffix, found by one binary search
     assert (c[1:] >= c[:-1]).all()
@@ -206,9 +204,8 @@ def positivity_report_montecarlo(
     a PCG64 generator seeded explicitly, consumed in a fixed order
     regardless of blocking.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    thresholds = linear_decay_sequence(model.decay_step, model.n)
+    _check_positive_int(trials, "trials")
+    thresholds = _linear_drops(model.decay_step, model.n)
     rng = np.random.default_rng(seed)
     ascending = descending = 0
     block = max(1, _MC_ELEMENTS // model.n)

@@ -29,7 +29,14 @@ import numpy as np
 from . import analysis
 from .figure import figure_csv, figure_svg, generate_figure_matrix
 from .scenario import ScenarioConfig, parse_scenario
-from .scheduler import Objective, brute_force_optimal, evaluate_order, recommended_order, sort_order
+from .scheduler import (
+    BRUTE_FORCE_MAX_ITEMS,
+    Objective,
+    brute_force_optimal,
+    evaluate_order,
+    recommended_order,
+    sort_order,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -92,7 +99,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     _emit(
         {
             "order": [int(i) for i in order],
-            "stage_probabilities": [float(v) for v in metrics.stage_probabilities],
+            "stage_probabilities": metrics.stage_probabilities.probs.tolist(),
             "expected_successes": metrics.expected_successes,
             "prob_all_success": metrics.prob_all_success,
         },
@@ -179,7 +186,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             {
                 **dataclasses.asdict(model),
                 "seed": args.seed,
-                "initial_probabilities": [float(p) for p in matrix.initial_probabilities],
+                "initial_probabilities": matrix.initial_probabilities.probs.tolist(),
                 "cells": [[float(v) for v in row] for row in matrix.cells],
             },
             args.format,
@@ -283,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("brute", "sort"),
         default="brute",
-        help="exhaustive search (exact, n <= 10) or sorted-order strategy (default: brute)",
+        help=f"exhaustive search (exact, n <= {BRUTE_FORCE_MAX_ITEMS}) or sorted-order strategy "
+        "(default: brute)",
     )
     _add_format_flag(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)

@@ -13,27 +13,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import ProbabilityVector, as_probability_vector
+from .distribution import ProbabilityVector, _as_probability_vector
 
-__all__ = [
-    "AdditiveDecay",
-    "MultiplicativeDecay",
-    "DecaySpec",
-    "linear_decay_sequence",
-    "stage_probabilities",
-]
+__all__ = ["AdditiveDecay", "MultiplicativeDecay", "stage_probabilities"]
 
 
-def linear_decay_sequence(rate: float, n: int) -> np.ndarray:
-    """Per-stage drops ``d_i = rate * (i - 1)`` for ``i = 1..n``.
+def _check_positive_int(value, name: str) -> None:
+    """Raise unless ``value`` is a positive Python or numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
-    >>> linear_decay_sequence(0.1, 4).tolist()
+
+def _linear_drops(rate: float, n: int) -> np.ndarray:
+    """Per-stage drops ``d_i = rate * (i - 1)`` for ``i = 1..n``; the caller checks both.
+
+    >>> _linear_drops(0.1, 4).tolist()
     [0.0, 0.1, 0.2, 0.30000000000000004]
     """
-    if isinstance(rate, bool) or not 0.0 <= rate < np.inf:
-        raise ValueError(f"decay rate must be a finite number >= 0, got {rate}")
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n}")
     # a finite rate may still overflow; an infinite drop clamps the item to zero
     with np.errstate(over="ignore"):
         return rate * np.arange(n, dtype=np.float64)
@@ -43,9 +39,9 @@ def linear_decay_sequence(rate: float, n: int) -> np.ndarray:
 class AdditiveDecay:
     """Additive decay over ``n`` stages: stage ``i`` (1-based) drops ``rate * (i - 1)``.
 
-    ``decay_per_stage`` holds those ``n`` drops, computed once by
-    ``linear_decay_sequence``.  A drop that overflows to inf clamps its
-    stage to zero, as any drop beyond the item's probability does.
+    ``decay_per_stage`` holds those ``n`` drops, computed once.  A drop that
+    overflows to inf clamps its stage to zero, as any drop beyond the item's
+    probability does.
     """
 
     rate: float
@@ -53,7 +49,10 @@ class AdditiveDecay:
     decay_per_stage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        drops = linear_decay_sequence(self.rate, self.n)
+        if isinstance(self.rate, bool) or not 0.0 <= self.rate < np.inf:
+            raise ValueError(f"decay rate must be a finite number >= 0, got {self.rate}")
+        _check_positive_int(self.n, "n")
+        drops = _linear_drops(self.rate, self.n)
         drops.flags.writeable = False
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "decay_per_stage", drops)
@@ -77,7 +76,7 @@ class MultiplicativeDecay:
             )
 
 
-DecaySpec = AdditiveDecay | MultiplicativeDecay
+_DecaySpec = AdditiveDecay | MultiplicativeDecay
 
 
 def _as_permutation(order, n: int) -> np.ndarray:
@@ -101,7 +100,7 @@ def _as_permutation(order, n: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _decayed(p0: np.ndarray, stage: np.ndarray, decay: DecaySpec) -> np.ndarray:
+def _decayed(p0: np.ndarray, stage: np.ndarray, decay: _DecaySpec) -> np.ndarray:
     """Value at 0-based ``stage`` of an item with initial probability ``p0``.
 
     The two arrays broadcast against each other.  ``p0`` holds one entry
@@ -116,12 +115,12 @@ def _decayed(p0: np.ndarray, stage: np.ndarray, decay: DecaySpec) -> np.ndarray:
     raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
 
 
-def stage_probabilities(p0_in_service_order, decay: DecaySpec) -> ProbabilityVector:
+def stage_probabilities(p0_in_service_order, decay: _DecaySpec) -> ProbabilityVector:
     """Apply a decay law to probabilities already arranged in service order.
 
     The multiplicative law's stage factors multiply to
     ``factor**(n*(n-1)/2)`` whatever the order, which is why the all-success
     probability is order-invariant under that law.
     """
-    pv = as_probability_vector(p0_in_service_order)
+    pv = _as_probability_vector(p0_in_service_order)
     return ProbabilityVector(_decayed(pv.probs, np.arange(pv.n), decay))

@@ -10,16 +10,10 @@ precision: for n up to 10**4 its entries were measured to sum to 1 within
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-__all__ = [
-    "ProbabilityVector",
-    "SuccessCountPmf",
-    "as_probability_vector",
-    "success_count_pmf",
-]
+__all__ = ["ProbabilityVector", "SuccessCountPmf", "success_count_pmf"]
 
 # headroom for rounding in the convolution: over 100x the error measured at n = 10**4
 PMF_SUM_TOL = 1e-12
@@ -52,25 +46,13 @@ class ProbabilityVector:
     def n(self) -> int:
         return self.probs.size
 
-    def __len__(self) -> int:
-        return self.probs.size
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.probs)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.probs[i])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbabilityVector):
             return NotImplemented
         return np.array_equal(self.probs, other.probs)
 
-    def __repr__(self) -> str:
-        return f"ProbabilityVector({self.probs.tolist()!r})"
 
-
-def as_probability_vector(values) -> ProbabilityVector:
+def _as_probability_vector(values) -> ProbabilityVector:
     """Coerce an array-like of probabilities into a validated ProbabilityVector."""
     if isinstance(values, ProbabilityVector):
         return values
@@ -96,26 +78,6 @@ class SuccessCountPmf:
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
 
-    @property
-    def n(self) -> int:
-        """Number of trials the pmf describes."""
-        return self.mass.size - 1
-
-    def mean(self) -> float:
-        """Expected success count, ``sum_k k * mass[k]``."""
-        return float(np.arange(self.mass.size) @ self.mass)
-
-    def __len__(self) -> int:
-        return self.mass.size
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.mass[k])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuccessCountPmf):
-            return NotImplemented
-        return np.array_equal(self.mass, other.mass)
-
 
 def success_count_pmf(pv) -> SuccessCountPmf:
     """Exact pmf of the number of successes, by iterative polynomial convolution.
@@ -126,7 +88,7 @@ def success_count_pmf(pv) -> SuccessCountPmf:
     >>> success_count_pmf([0.5, 0.5]).mass.tolist()
     [0.25, 0.5, 0.25]
     """
-    pv = as_probability_vector(pv)
+    pv = _as_probability_vector(pv)
     mass = np.ones(1)
     for p in pv.probs:
         mass = np.convolve(mass, np.array([1.0 - p, p]))

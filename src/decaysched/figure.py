@@ -13,7 +13,7 @@ import numpy as np
 
 from .analysis import PopulationModel
 from .decay import AdditiveDecay
-from .distribution import ProbabilityVector, as_probability_vector
+from .distribution import ProbabilityVector, _as_probability_vector
 from .scheduler import stage_item_matrix
 
 __all__ = ["FigureMatrix", "generate_figure_matrix", "figure_csv", "figure_svg"]
@@ -39,7 +39,7 @@ class FigureMatrix:
     cells: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        pv = as_probability_vector(self.initial_probabilities)
+        pv = _as_probability_vector(self.initial_probabilities)
         if (np.diff(pv.probs) < 0.0).any():
             raise ValueError("initial_probabilities must be sorted ascending")
         cells = stage_item_matrix(pv, AdditiveDecay(self.decay_step, pv.n))

@@ -22,8 +22,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .decay import AdditiveDecay, DecaySpec, MultiplicativeDecay
-from .distribution import ProbabilityVector, as_probability_vector
+from .decay import AdditiveDecay, MultiplicativeDecay, _DecaySpec
+from .distribution import ProbabilityVector, _as_probability_vector
 from .scheduler import Objective
 
 __all__ = ["ScenarioConfig", "parse_scenario", "serialize_scenario"]
@@ -34,11 +34,11 @@ class ScenarioConfig:
     """A service-ordering problem: initial probabilities, decay law, objective."""
 
     probabilities: ProbabilityVector
-    decay: DecaySpec
+    decay: _DecaySpec
     objective: Objective = Objective.EXPECTED_SUCCESSES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probabilities", as_probability_vector(self.probabilities))
+        object.__setattr__(self, "probabilities", _as_probability_vector(self.probabilities))
         object.__setattr__(self, "objective", Objective(self.objective))
         if not isinstance(self.decay, (AdditiveDecay, MultiplicativeDecay)):
             raise TypeError(
@@ -101,7 +101,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if "rate" not in raw_decay:
             raise ValueError("additive decay requires a 'rate' field")
         rate = _require_number(raw_decay["rate"], "decay.rate")
-        decay: DecaySpec = AdditiveDecay(rate, probabilities.n)
+        decay: _DecaySpec = AdditiveDecay(rate, probabilities.n)
     elif decay_type == "multiplicative":
         extra = set(raw_decay) - {"type", "factor"}
         if extra:
@@ -133,7 +133,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
     its ``factor``, so every valid config has a document.
     """
     doc: dict[str, object] = {
-        "probabilities": [float(p) for p in config.probabilities],
+        "probabilities": config.probabilities.probs.tolist(),
         "objective": config.objective.value,
     }
     if isinstance(config.decay, AdditiveDecay):

@@ -2,9 +2,9 @@
 
 Evaluating an order applies the decay law to the initial probabilities
 arranged in service order, then reads off the success-count metrics.
-Optimization is either exhaustive (exact, n <= 10) or by the sorted-order
-strategies that provably achieve the optimum for each decay-law/objective
-combination.
+Optimization is either exhaustive (exact, n <= ``BRUTE_FORCE_MAX_ITEMS``) or
+by the sorted-order strategies that provably achieve the optimum for each
+decay-law/objective combination.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ import numpy as np
 from . import _kernels
 from .decay import (
     AdditiveDecay,
-    DecaySpec,
     MultiplicativeDecay,
     _as_permutation,
     _decayed,
+    _DecaySpec,
     stage_probabilities,
 )
 from .distribution import (
     ProbabilityVector,
     SuccessCountPmf,
-    as_probability_vector,
+    _as_probability_vector,
     success_count_pmf,
 )
 
@@ -74,7 +74,7 @@ class ScheduleMetrics:
     prob_all_success: float = field(init=False)
 
     def __post_init__(self) -> None:
-        p1 = as_probability_vector(self.stage_probabilities)
+        p1 = _as_probability_vector(self.stage_probabilities)
         object.__setattr__(self, "stage_probabilities", p1)
         object.__setattr__(self, "expected_successes", float(np.sum(p1.probs)))
         object.__setattr__(self, "prob_all_success", float(np.prod(p1.probs)))
@@ -95,7 +95,7 @@ def sort_order(p0, direction: OrderDirection) -> np.ndarray:
     Ascending order serves the weakest item first; descending the strongest.
     Equal probabilities keep their original relative order.
     """
-    pv = as_probability_vector(p0)
+    pv = _as_probability_vector(p0)
     if direction == "ascending":
         return np.argsort(pv.probs, kind="stable")
     if direction == "descending":
@@ -103,26 +103,26 @@ def sort_order(p0, direction: OrderDirection) -> np.ndarray:
     raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
 
 
-def stage_item_matrix(p0, decay: DecaySpec) -> np.ndarray:
+def stage_item_matrix(p0, decay: _DecaySpec) -> np.ndarray:
     """Table of at-processing-time probabilities: entry (i, j) is the value
     item ``j`` would have if served at stage ``i`` (both 0-based)."""
-    pv = as_probability_vector(p0)
+    pv = _as_probability_vector(p0)
     return _decayed(pv.probs[None, :], np.arange(pv.n)[:, None], decay)
 
 
-def evaluate_order(p0, order, decay: DecaySpec) -> ScheduleMetrics:
+def evaluate_order(p0, order, decay: _DecaySpec) -> ScheduleMetrics:
     """Metrics for serving the items of ``p0`` in the order given by ``order``.
 
     ``order[i]`` names the item served at stage ``i``; the decay law is applied
     to the reordered vector and all metrics derive from the resulting
     at-processing-time probabilities.
     """
-    pv = as_probability_vector(p0)
+    pv = _as_probability_vector(p0)
     perm = _as_permutation(order, n=pv.n)
     return ScheduleMetrics(stage_probabilities(pv.probs[perm], decay))
 
 
-def brute_force_optimal(p0, decay: DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:
+def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:
     """Exactly maximize the objective over all n! service orders.
 
     Returns ``(order, value)``.  The search builds the order one stage at a
@@ -130,9 +130,9 @@ def brute_force_optimal(p0, decay: DecaySpec, objective: Objective) -> tuple[np.
     stage (see ``_kernels.best_permutation``); the first stage's pass gives
     the optimum.  Its value is bit-identical to enumerating every order, and
     ties resolve to the lexicographically smallest order.  Limited to
-    n <= 10.
+    n <= ``BRUTE_FORCE_MAX_ITEMS``.
     """
-    pv = as_probability_vector(p0)
+    pv = _as_probability_vector(p0)
     objective = Objective(objective)
     if pv.n > BRUTE_FORCE_MAX_ITEMS:
         raise ValueError(
@@ -145,7 +145,7 @@ def brute_force_optimal(p0, decay: DecaySpec, objective: Objective) -> tuple[np.
     return perm, float(value)
 
 
-def recommended_order(decay: DecaySpec, objective: Objective) -> OrderStrategy:
+def recommended_order(decay: _DecaySpec, objective: Objective) -> OrderStrategy:
     """Sorted-order strategy that attains the optimum for this combination.
 
     Additive decay: ascending (weakest first) maximizes the all-success

@@ -1,8 +1,12 @@
-"""Slow, independent oracles for the weakest-first positivity probability.
+"""Slow, independent oracles for the exhaustive search and the weakest-first
+positivity probability.
 
-Neither is used by the package at run time; the tests compare the
-weakest-first value of ``decaysched.positivity_report`` against them.  Both
-find the stages that can fail on their own (``active_ranks``), in plain
+None is used by the package at run time.  ``best_order_by_enumeration``
+tries every service order of a stage/item table; the tests compare the
+search kernel and ``decaysched.brute_force_optimal`` against it.
+
+The tests compare the weakest-first value of ``decaysched.positivity_report``
+against the other two.  Both find the stages that can fail on their own (``active_ranks``), in plain
 Python floats, so a wrong rule in the package does not carry over to them.
 
 ``prob_weakest_first_positive_quadrature`` integrates the joint density of
@@ -22,8 +26,11 @@ rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from decaysched import PopulationModel
 
@@ -31,6 +38,29 @@ from decaysched import PopulationModel
 MAX_QUADRATURE_DIMENSION = 6
 
 _QUAD_EPSABS = 1e-9
+
+
+def best_order_by_enumeration(table, use_product: bool):
+    """``(value, order)`` maximizing the table's fold over every service order.
+
+    ``table[stage, item]`` is summed, or multiplied, left to right in stage
+    order, as the search kernel folds it, so values agree bit for bit.  Ties
+    go to the first maximizer in lexicographic order.
+    """
+    n = table.shape[0]
+    best_value = -math.inf
+    best_order = None
+    for order in itertools.permutations(range(n)):
+        value = 1.0 if use_product else 0.0
+        for stage, item in enumerate(order):
+            if use_product:
+                value = value * table[stage, item]
+            else:
+                value = value + table[stage, item]
+        if value > best_value:
+            best_value = value
+            best_order = order
+    return best_value, np.array(best_order)
 
 
 class QuadratureDimensionError(ValueError):

@@ -23,7 +23,6 @@ from decaysched import (
     MultiplicativeDecay,
     PopulationModel,
     PositivityReport,
-    linear_decay_sequence,
     positivity_report,
     positivity_report_montecarlo,
 )
@@ -66,7 +65,7 @@ class TestPopulationModel:
         (lambda: PopulationModel(n=13, low=0.0, high=True, decay_step=0.06), "bounds must satisfy"),
         (lambda: PopulationModel(n=13, low=0.5, high=1.0, decay_step=True),
          "decay_step must be a finite number >= 0, got True"),
-        (lambda: linear_decay_sequence(True, 3), "decay rate must be a finite number >= 0, got True"),
+        (lambda: AdditiveDecay(True, 3), "decay rate must be a finite number >= 0, got True"),
         (lambda: AdditiveDecay(False, 3), "decay rate must be a finite number >= 0, got False"),
         (lambda: MultiplicativeDecay(True), "strictly between 0 and 1, got True"),
         (lambda: MultiplicativeDecay(False), "strictly between 0 and 1, got False"),
@@ -420,6 +419,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trials"):
             positivity_report_montecarlo(REFERENCE_MODEL, 0, 0)
 
+    @pytest.mark.parametrize("trials", [math.inf, math.nan, 2.5, True, 0])
+    def test_rejects_trials_that_are_not_positive_integers(self, trials):
+        # an infinite count would never run out: the block loop subtracts from it
+        with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+            positivity_report_montecarlo(REFERENCE_MODEL, trials, 0)
+
+    def test_accepts_numpy_integer_trials(self):
+        report = positivity_report_montecarlo(REFERENCE_MODEL, np.int64(1_000), 0)
+        assert report == positivity_report_montecarlo(REFERENCE_MODEL, 1_000, 0)
+
     def test_standard_error_formula(self):
         # each strategy's error comes from its own estimate; the second
         # model's two estimates (near 0.91 and 0.49) give errors 2x apart
@@ -454,7 +463,7 @@ class TestPositivityReport:
         model, trials = REFERENCE_MODEL, 20_000
         report = positivity_report_montecarlo(model, trials, 77)
         draws = np.random.default_rng(77).uniform(model.low, model.high, size=(trials, model.n))
-        thresholds = linear_decay_sequence(model.decay_step, model.n)
+        thresholds = AdditiveDecay(model.decay_step, model.n).decay_per_stage
         ascending, descending = count_positive_trials(draws, thresholds)
         p_w, p_s = ascending / trials, descending / trials
         assert report.method == "montecarlo"

@@ -99,7 +99,7 @@ def mutated_documents(draw):
 class TestParseScenario:
     def test_additive_document(self):
         config = parse_scenario(SCENARIO_A)
-        assert list(config.probabilities) == [0.8, 0.9, 0.7, 0.7]
+        assert config.probabilities.probs.tolist() == [0.8, 0.9, 0.7, 0.7]
         assert config.decay == AdditiveDecay.linear(0.1, 4)
         assert config.objective is Objective.EXPECTED_SUCCESSES
 
@@ -260,6 +260,10 @@ class TestScenarioRoundTrip:
         with pytest.raises(ValueError, match="stages"):
             ScenarioConfig(ProbabilityVector(np.array([0.5, 0.5])), AdditiveDecay.linear(0.1, 3))
 
+    def test_scenario_config_rejects_a_decay_that_is_neither_law(self):
+        with pytest.raises(TypeError, match="MultiplicativeDecay, got float"):
+            ScenarioConfig(ProbabilityVector(np.array([0.5])), 0.9)
+
 
 def figure_model(n, decay_step=0.06, low=0.5, high=1.0):
     return PopulationModel(n=n, low=low, high=high, decay_step=decay_step)
@@ -271,7 +275,7 @@ class TestFigureMatrix:
         assert matrix.cells.shape == (13, 13)
         # strongest item served first keeps its raw draw
         assert 0.5 < matrix.cells[0, 12] < 1.0
-        p0 = matrix.initial_probabilities
+        p0 = matrix.initial_probabilities.probs
         want = max(p0[0] - 0.06 * 12, 0.0)
         assert matrix.cells[12, 0] == want
         assert matrix.cells[12, 0] == 0.0  # weakest item after 12 stages of decay
@@ -730,7 +734,7 @@ class TestCliFigure:
         payload = json.loads(out)
         matrix = generate_figure_matrix(figure_model(4), seed=6)
         assert payload["cells"] == [[float(v) for v in row] for row in matrix.cells]
-        assert payload["initial_probabilities"] == [float(p) for p in matrix.initial_probabilities]
+        assert payload["initial_probabilities"] == matrix.initial_probabilities.probs.tolist()
 
     def test_rejects_unknown_extension(self, tmp_path, capsys):
         code, _, err = run_cli(["figure", "--out", str(tmp_path / "fig.png")], capsys)
@@ -780,6 +784,21 @@ class TestCliPlumbing:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["positivity", "--wat"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["positivity", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+            (["figure", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["positivity", "--decay", "abc"], "argument --decay: invalid float value: 'abc'"),
+        ],
+        ids=["int", "seed", "float"],
+    )
+    def test_malformed_number_is_usage_error(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: decaysched {argv[0]} ")
+        assert message in err
 
     def test_unexpected_exception_maps_to_internal_error(self, monkeypatch, capsys):
         import decaysched.cli as cli_module

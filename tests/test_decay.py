@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from decaysched import (
     AdditiveDecay,
     MultiplicativeDecay,
-    linear_decay_sequence,
     stage_probabilities,
 )
 from decaysched.decay import _as_permutation
@@ -17,41 +16,43 @@ probability_lists = st.lists(
 
 
 class TestLinearDecaySequence:
+    """``AdditiveDecay(rate, n).decay_per_stage`` and the checks on ``rate`` and ``n``."""
+
     def test_values_are_exact_multiples(self):
         np.testing.assert_array_equal(
-            linear_decay_sequence(0.06, 4), 0.06 * np.arange(4)
+            AdditiveDecay(0.06, 4).decay_per_stage, 0.06 * np.arange(4)
         )
 
     def test_first_stage_never_decays(self):
-        assert linear_decay_sequence(0.3, 5)[0] == 0.0
+        assert AdditiveDecay(0.3, 5).decay_per_stage[0] == 0.0
 
     def test_zero_rate(self):
-        assert linear_decay_sequence(0.0, 3).tolist() == [0.0, 0.0, 0.0]
+        assert AdditiveDecay(0.0, 3).decay_per_stage.tolist() == [0.0, 0.0, 0.0]
 
     def test_rejects_negative_rate_and_bad_length(self):
         with pytest.raises(ValueError, match="rate"):
-            linear_decay_sequence(-0.1, 3)
+            AdditiveDecay(-0.1, 3)
         with pytest.raises(ValueError, match="positive integer"):
-            linear_decay_sequence(0.1, 0)
+            AdditiveDecay(0.1, 0)
 
     @pytest.mark.parametrize("rate", [np.inf, np.nan])
     def test_rejects_non_finite_rate(self, rate):
         with pytest.raises(ValueError, match=f"finite number >= 0, got {rate}"):
-            linear_decay_sequence(rate, 3)
+            AdditiveDecay(rate, 3)
 
-    @pytest.mark.parametrize("build", [linear_decay_sequence, AdditiveDecay])
+    @pytest.mark.parametrize("build", [AdditiveDecay])
     @pytest.mark.parametrize("n", [2.5, True, 0])
     def test_rejects_non_integral_length(self, build, n):
         with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
             build(0.1, n)
 
     def test_accepts_numpy_integer_length(self):
-        assert linear_decay_sequence(0.1, np.int64(3)).size == 3
+        assert AdditiveDecay(0.1, np.int64(3)).decay_per_stage.size == 3
         assert AdditiveDecay(0.1, np.int64(3)) == AdditiveDecay(0.1, 3)
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_left_to_callers_without_a_warning(self):
-        assert linear_decay_sequence(1e308, 3).tolist() == [0.0, 1e308, np.inf]
+        assert AdditiveDecay(1e308, 3).decay_per_stage.tolist() == [0.0, 1e308, np.inf]
 
 
 class TestAdditiveDecay:
@@ -95,8 +96,8 @@ class TestApplyAdditive:
 
     def test_clamps_at_zero_exactly(self):
         p1 = stage_probabilities([0.8, 0.9, 0.1, 0.2], AdditiveDecay(0.1, 4))
-        assert p1[2] == 0.0
-        assert p1[3] == 0.0
+        assert p1.probs[2] == 0.0
+        assert p1.probs[3] == 0.0
         np.testing.assert_allclose(p1.probs[:2], [0.8, 0.8], rtol=0.0, atol=1e-12)
 
     def test_rejects_length_mismatch(self):

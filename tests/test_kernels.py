@@ -1,5 +1,4 @@
 import ast
-import itertools
 import math
 from pathlib import Path
 
@@ -7,28 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import best_order_by_enumeration
 
 import decaysched
 from decaysched import AdditiveDecay, stage_item_matrix
 from decaysched._kernels import best_permutation, count_positive_trials
-
-
-def brute_reference(table, use_product):
-    """Plain-Python reference: same accumulation order, same tie-breaking."""
-    n = table.shape[0]
-    best_value = -np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(n)):
-        value = 1.0 if use_product else 0.0
-        for i in range(n):
-            if use_product:
-                value = value * table[i, perm[i]]
-            else:
-                value = value + table[i, perm[i]]
-        if value > best_value:
-            best_value = value
-            best_perm = perm
-    return best_value, np.array(best_perm)
 
 
 @st.composite
@@ -52,7 +34,7 @@ class TestBestPermutation:
     @given(tie_heavy_tables(), st.booleans())
     def test_property_matches_enumeration_bit_for_bit(self, table, use_product):
         value, perm = best_permutation(table, use_product)
-        ref_value, ref_perm = brute_reference(table, use_product)
+        ref_value, ref_perm = best_order_by_enumeration(table, use_product)
         assert value == ref_value
         np.testing.assert_array_equal(perm, ref_perm)
 
@@ -67,7 +49,7 @@ class TestBestPermutation:
         table = stage_item_matrix(p0, AdditiveDecay.linear(rate, 8))
         assert table.min() > 0.0
         value, perm = best_permutation(table, use_product=False)
-        ref_value, ref_perm = brute_reference(table, use_product=False)
+        ref_value, ref_perm = best_order_by_enumeration(table, use_product=False)
         assert value == ref_value
         np.testing.assert_array_equal(perm, ref_perm)
 
@@ -79,7 +61,7 @@ class TestBestPermutation:
         table = stage_item_matrix([0.6, 0.3, 0.3, 1.0], AdditiveDecay.linear(0.1, 4))
         value, perm = best_permutation(table, use_product=False)
         assert (value, perm.tolist()) == (1.6, [0, 1, 3, 2])
-        assert brute_reference(table, use_product=False)[1].tolist() == [0, 1, 3, 2]
+        assert best_order_by_enumeration(table, use_product=False)[1].tolist() == [0, 1, 3, 2]
 
     @pytest.mark.parametrize("use_product", [False, True])
     def test_matches_reference_bit_for_bit(self, use_product):
@@ -87,7 +69,7 @@ class TestBestPermutation:
         for n in (1, 2, 3, 5, 6):
             table = rng.uniform(0.0, 1.0, size=(n, n))
             value, perm = best_permutation(table, use_product)
-            ref_value, ref_perm = brute_reference(table, use_product)
+            ref_value, ref_perm = best_order_by_enumeration(table, use_product)
             assert value == ref_value
             np.testing.assert_array_equal(perm, ref_perm)
 

@@ -1,9 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import best_order_by_enumeration
 
 from decaysched import (
     BRUTE_FORCE_MAX_ITEMS,
@@ -45,23 +44,6 @@ def left_fold(table, order, objective):
     return value
 
 
-def exhaustive_search(p0, decay, objective):
-    """Independent oracle: try every order with plain-Python accumulation.
-
-    Mirrors the kernels' stage-by-stage arithmetic so values and tie-breaking
-    (first maximizer in lexicographic order) are reproduced bit for bit.
-    """
-    table = stage_item_matrix(p0, decay)
-    best_value = -np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(table.shape[0])):
-        value = left_fold(table, perm, objective)
-        if value > best_value:
-            best_value = value
-            best_perm = perm
-    return np.array(best_perm), best_value
-
-
 class TestKnownEvaluations:
     @pytest.mark.parametrize("p0,order,expected,prob_all", KNOWN_CASES)
     def test_worked_examples(self, p0, order, expected, prob_all):
@@ -80,9 +62,9 @@ class TestKnownEvaluations:
 
     def test_identity_metrics_expose_consistent_pmf(self):
         metrics = evaluate_order(VEC_A, [0, 1, 2, 3], DECAY_01)
-        assert metrics.pmf.n == 4
-        assert abs(metrics.pmf[4] - 0.128) <= 1e-12
-        assert abs(metrics.pmf.mean() - 2.5) <= 1e-12
+        assert metrics.pmf.mass.size == 5
+        assert abs(metrics.pmf.mass[4] - 0.128) <= 1e-12
+        assert abs(np.arange(5) @ metrics.pmf.mass - 2.5) <= 1e-12
 
 
 class TestSortOrder:
@@ -136,12 +118,13 @@ class TestScheduleMetrics:
         # to rounding that grows linearly with n
         p0 = np.random.default_rng(n).uniform(low, 1.0, n)
         metrics = evaluate_order(p0, sort_order(p0, "ascending"), AdditiveDecay.linear(0.5 / n, n))
-        assert metrics.pmf.n == n
+        mass = metrics.pmf.mass
+        assert mass.size == n + 1
         assert metrics.expected_successes > 0.0
         tol = 1e-13 * n
-        mean_error = abs(metrics.pmf.mean() - metrics.expected_successes)
+        mean_error = abs(np.arange(n + 1) @ mass - metrics.expected_successes)
         assert mean_error <= tol * max(1.0, metrics.expected_successes)
-        top_error = abs(metrics.pmf[n] - metrics.prob_all_success)
+        top_error = abs(mass[n] - metrics.prob_all_success)
         assert top_error <= tol * metrics.prob_all_success + 1e-300
 
 
@@ -207,7 +190,9 @@ class TestBruteForce:
             else:
                 decay = MultiplicativeDecay(float(rng.uniform(0.5, 0.99)))
             order, value = brute_force_optimal(p0, decay, objective)
-            ref_order, ref_value = exhaustive_search(p0, decay, objective)
+            use_product = objective is Objective.PROB_ALL_SUCCESS
+            table = stage_item_matrix(p0, decay)
+            ref_value, ref_order = best_order_by_enumeration(table, use_product)
             assert value == ref_value
             np.testing.assert_array_equal(order, ref_order)
 
