@@ -78,6 +78,10 @@ class PositivityReport:
     closed form whenever the method is deterministic.  Each strategy's
     standard error is zero for deterministic methods and its binomial
     standard error for Monte Carlo.
+
+    A record, checked by nothing: its two producers guarantee these
+    invariants, and ``TestPositivityReport`` and ``TestMonteCarlo`` in
+    ``tests/test_analysis.py`` test them as properties of each producer.
     """
 
     prob_strongest_first_positive: float
@@ -85,20 +89,6 @@ class PositivityReport:
     method: str
     strongest_first_std_error: float = 0.0
     weakest_first_std_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.prob_strongest_first_positive <= 1.0):
-            raise ValueError("prob_strongest_first_positive must be in [0, 1]")
-        if not (0.0 <= self.prob_weakest_first_positive <= 1.0):
-            raise ValueError("prob_weakest_first_positive must be in [0, 1]")
-        if self.method not in ("analytic", "recursion", "montecarlo"):
-            raise ValueError(f"unknown method {self.method!r}")
-        for name in ("strongest_first_std_error", "weakest_first_std_error"):
-            std_error = getattr(self, name)
-            if std_error < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-            if std_error > 0.0 and self.method != "montecarlo":
-                raise ValueError(f"{name} must be 0 for deterministic methods")
 
 
 def _strongest_first(model: PopulationModel, thresholds: np.ndarray) -> float:
@@ -183,7 +173,6 @@ def positivity_report(model: PopulationModel) -> PositivityReport:
     c = _linear_drops(model.decay_step, model.n)
     # non-decreasing thresholds make the strongest-first criterion exact, and
     # make the stages that can fail a suffix, found by one binary search
-    assert (c[1:] >= c[:-1]).all()
     first = int(np.searchsorted(c, model.low, side="right"))
     strongest = _strongest_first(model, c)
     if first == model.n:

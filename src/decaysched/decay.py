@@ -27,6 +27,8 @@ def _check_positive_int(value, name: str) -> None:
 def _linear_drops(rate: float, n: int) -> np.ndarray:
     """Per-stage drops ``d_i = rate * (i - 1)`` for ``i = 1..n``; the caller checks both.
 
+    Non-decreasing for every rate >= 0: rounding is monotone, and so is overflow.
+
     >>> _linear_drops(0.1, 4).tolist()
     [0.0, 0.1, 0.2, 0.30000000000000004]
     """
@@ -74,6 +76,7 @@ class MultiplicativeDecay:
             raise ValueError(
                 f"multiplicative factor must lie strictly between 0 and 1, got {self.factor}"
             )
+        object.__setattr__(self, "factor", float(self.factor))
 
 
 _DecaySpec = AdditiveDecay | MultiplicativeDecay

@@ -4,7 +4,8 @@ The number of successes ``Y`` among ``n`` independent trials with success
 probabilities ``(p_1, ..., p_n)`` has pmf given by the coefficients of the
 polynomial ``prod_i (1 - p_i + p_i z)``.  The pmf is computed in double
 precision: for n up to 10**4 its entries were measured to sum to 1 within
-6e-15, and its mean to match ``sum_i p_i`` within 1.5e-11.
+6e-15, inside the bound that ``success_count_pmf`` derives, and its mean
+to match ``sum_i p_i`` within 1.5e-11.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["ProbabilityVector", "SuccessCountPmf", "success_count_pmf"]
-
-# headroom for rounding in the convolution: over 100x the error measured at n = 10**4
-PMF_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,20 +59,17 @@ def _as_probability_vector(values) -> ProbabilityVector:
 
 @dataclass(frozen=True, eq=False)
 class SuccessCountPmf:
-    """Distribution of the total success count: ``mass[k] = P(Y = k)``."""
+    """Distribution of the total success count: ``mass[k] = P(Y = k)``.
+
+    A record: the array is copied and frozen, and nothing is checked.
+    ``success_count_pmf`` guarantees the invariants that its docstring
+    states, and ``tests/test_distribution.py`` tests them as properties.
+    """
 
     mass: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.mass, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("mass must be a one-dimensional array of length n + 1 >= 2")
-        if (arr < 0.0).any():
-            i = int(np.argmax(arr < 0.0))
-            raise ValueError(f"mass[{i}] = {arr[i]} is negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PMF_SUM_TOL:
-            raise ValueError(f"mass sums to {total}, expected 1 within {PMF_SUM_TOL}")
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
 
@@ -84,6 +79,17 @@ def success_count_pmf(pv) -> SuccessCountPmf:
 
     Expands ``prod_i (1 - p_i + p_i z)`` one factor at a time; the coefficient
     of ``z^k`` is ``P(Y = k)``.  O(n^2), deterministic.
+
+    The result has ``n + 1`` entries, each a sum of products of
+    non-negative numbers, so none is negative.  They sum to 1 within
+    ``gamma_3n = 3nu / (1 - 3nu)``, with ``u = 2**-53``: each new entry is
+    at most two products and one sum, each rounded once, and all terms are
+    non-negative, so each step multiplies the sum by
+    ``(fl(1 - p) + p)(1 + theta_2)``, where ``|fl(1 - p) + p - 1| <= u``.
+    That is ``1 + theta_3`` per step and ``1 + theta_3n`` over n steps
+    (Higham 2002, *Accuracy and Stability of Numerical Algorithms*, Lemma
+    3.1).  Underflow adds an absolute error below ``n**2 * 2**-1074``.  The
+    bound is 3.3e-12 at n = 10**4, where the sum was measured within 6e-15.
 
     >>> success_count_pmf([0.5, 0.5]).mass.tolist()
     [0.25, 0.5, 0.25]

@@ -1,12 +1,13 @@
 """Slow, independent oracles for the exhaustive search and the weakest-first
-positivity probability.
+positivity probability, and Higham's rounding bound ``gamma``.
 
 None is used by the package at run time.  ``best_order_by_enumeration``
 tries every service order of a stage/item table; the tests compare the
 search kernel and ``decaysched.brute_force_optimal`` against it.
 
 The tests compare the weakest-first value of ``decaysched.positivity_report``
-against the other two.  Both find the stages that can fail on their own (``active_ranks``), in plain
+against the other three.  Each finds the stages that can fail, or maps
+the thresholds, on its own (``active_ranks``, ``_bound``), in plain
 Python floats, so a wrong rule in the package does not carry over to them.
 
 ``prob_weakest_first_positive_quadrature`` integrates the joint density of
@@ -21,7 +22,10 @@ one-dimensional adaptive quadratures, innermost variable first.
 ``prob_weakest_first_positive_exact`` runs Noe's recursion in its binomial
 form in rational arithmetic, on float boundaries rounded as the package
 rounds them, so it differs from the package's value only by that value's
-rounding.
+rounding.  ``prob_weakest_first_positive_steck`` computes the same rational
+number another way, by Steck's determinant (Steck 1971, *Ann. Math.
+Statist.* 42(1):1-11; Shorack & Wellner 1986, ch. 9), fast enough for
+n = 120.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ from decaysched import PopulationModel
 MAX_QUADRATURE_DIMENSION = 6
 
 _QUAD_EPSABS = 1e-9
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
 def best_order_by_enumeration(table, use_product: bool):
@@ -159,3 +170,33 @@ def prob_weakest_first_positive_exact(model: PopulationModel) -> Fraction:
         weights = step
         previous = bound
     return sum(weights, Fraction(0))
+
+
+def prob_weakest_first_positive_steck(model: PopulationModel) -> Fraction:
+    """Weakest-first positivity probability by Steck's determinant, exactly.
+
+    With the ``n`` boundaries ``a_j`` of every rank (0 where the stage
+    cannot fail), ``P(U_(j) > a_j for all j) = n! det M``, where ``M`` is
+    upper Hessenberg: ``M[i][j] = t_j**(j-i+1) / (j-i+1)!`` for ``j >= i``
+    with ``t_j = 1 - a_j``, ``M[j+1][j] = 1``, and 0 below that.
+
+    Expanding the leading ``k``-by-``k`` determinant ``D_k`` along its last
+    column gives ``D_k = sum_i (-1)**(k-i) M[i][k] D_(i-1)``.  The
+    boundaries are floats, so ``t_j = N_j / Q`` with integers ``N_j`` and a
+    power of two ``Q``; then ``T_k = k! Q**k D_k`` satisfies
+    ``T_k = sum_i (-1)**(k-i) C(k, i-1) N_k**(k-i+1) T_(i-1)`` in integers,
+    and the probability is ``T_n / Q**n``.  Same rational number as
+    ``prob_weakest_first_positive_exact``, about 0.1 s at n = 120.
+    """
+    tails = [1 - Fraction(_bound(model, rank)) for rank in range(1, model.n + 1)]
+    scale = max(tail.denominator for tail in tails)
+    numerators = [tail.numerator * (scale // tail.denominator) for tail in tails]
+    folded = [1]  # folded[k] = T_k
+    for k, numerator in enumerate(numerators, 1):
+        total, power = 0, 1
+        for i in range(k, 0, -1):
+            power *= numerator  # numerator**(k - i + 1)
+            term = math.comb(k, i - 1) * power * folded[i - 1]
+            total += term if (k - i) % 2 == 0 else -term
+        folded.append(total)
+    return Fraction(folded[-1], scale**model.n)

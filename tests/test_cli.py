@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,9 @@ class TestScenarioRoundTrip:
             Objective.PROB_ALL_SUCCESS,
         ),
         ScenarioConfig(ProbabilityVector(np.array([1.0, 0.0])), MultiplicativeDecay(0.37)),
+        # valid factors that are not floats
+        ScenarioConfig(ProbabilityVector(np.array([0.5])), MultiplicativeDecay(np.float32(0.3))),
+        ScenarioConfig(ProbabilityVector(np.array([0.5])), MultiplicativeDecay(Fraction(1, 3))),
     ]
 
     @pytest.mark.parametrize("config", CONFIGS)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decaysched import (
@@ -8,7 +8,7 @@ from decaysched import (
     MultiplicativeDecay,
     stage_probabilities,
 )
-from decaysched.decay import _as_permutation
+from decaysched.decay import _as_permutation, _linear_drops
 
 probability_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=10
@@ -53,6 +53,17 @@ class TestLinearDecaySequence:
     @pytest.mark.filterwarnings("error")
     def test_overflow_is_left_to_callers_without_a_warning(self):
         assert AdditiveDecay(1e308, 3).decay_per_stage.tolist() == [0.0, 1e308, np.inf]
+
+    # positivity_report relies on this; nothing checks it at run time
+    @settings(max_examples=200, derandomize=True)
+    @given(st.floats(0.0, 1.7976931348623157e308), st.integers(1, 500))
+    @example(1e308, 3)
+    @example(1.7976931348623157e308, 2)
+    @example(5e-324, 500)
+    def test_drops_are_non_decreasing_even_when_they_overflow(self, rate, n):
+        drops = _linear_drops(rate, n)
+        assert drops.shape == (n,)
+        assert (drops[1:] >= drops[:-1]).all()
 
 
 class TestAdditiveDecay:

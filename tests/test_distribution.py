@@ -1,9 +1,11 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gamma
 
 from decaysched import (
     ProbabilityVector,
@@ -80,18 +82,6 @@ class TestSuccessCountPmf:
         with pytest.raises(ValueError):
             pmf.mass[0] = 0.5
 
-    def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError, match=r"mass\[1\] = -0.5"):
-            SuccessCountPmf(np.array([0.75, -0.5, 0.75]))
-
-    def test_rejects_bad_total(self):
-        with pytest.raises(ValueError, match="sums to"):
-            SuccessCountPmf(np.array([0.5, 0.6]))
-
-    def test_rejects_scalar_and_short(self):
-        with pytest.raises(ValueError):
-            SuccessCountPmf(np.array([1.0]))
-
 
 class TestSuccessCountPmfValues:
     def test_single_trial(self):
@@ -131,12 +121,17 @@ class TestSuccessCountPmfValues:
 
 
 class TestDistributionProperties:
-    @given(probability_lists)
+    # SuccessCountPmf checks nothing, so these are the pmf's only gates
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300))
     def test_pmf_is_normalized_and_nonnegative(self, probs):
-        pmf = success_count_pmf(probs)
-        assert pmf.mass.size == len(probs) + 1
-        assert (pmf.mass >= 0.0).all()
-        assert abs(float(pmf.mass.sum()) - 1.0) <= 1e-12
+        n = len(probs)
+        mass = success_count_pmf(probs).mass
+        assert mass.shape == (n + 1,)
+        assert (mass >= 0.0).all()
+        # success_count_pmf's a priori bound, on the exact sum of its entries
+        total = sum(map(Fraction, mass.tolist()), Fraction(0))
+        assert abs(total - 1) <= Fraction(gamma(3 * n)) + n * n * Fraction(2) ** -1074
 
     @given(probability_lists)
     def test_mean_equals_sum_of_probabilities(self, probs):

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import best_order_by_enumeration
+from oracles import best_order_by_enumeration, gamma
 
 from decaysched import (
     BRUTE_FORCE_MAX_ITEMS,
@@ -113,13 +115,14 @@ class TestScheduleMetrics:
     @pytest.mark.parametrize("n", [1_000, 10_000])
     @pytest.mark.parametrize("low", [0.0, 0.9])
     def test_tolerances_hold_at_large_n(self, n, low):
-        # the pmf must sum to 1 within PMF_SUM_TOL (1e-12); its mean and top
-        # entry match the sum and the product of the stage probabilities up
-        # to rounding that grows linearly with n
+        # the pmf sums to 1 within success_count_pmf's bound gamma_3n; its
+        # mean and top entry match the sum and the product of the stage
+        # probabilities up to rounding that grows linearly with n
         p0 = np.random.default_rng(n).uniform(low, 1.0, n)
         metrics = evaluate_order(p0, sort_order(p0, "ascending"), AdditiveDecay.linear(0.5 / n, n))
         mass = metrics.pmf.mass
         assert mass.size == n + 1
+        assert abs(sum(map(Fraction, mass.tolist()), Fraction(0)) - 1) <= gamma(3 * n)
         assert metrics.expected_successes > 0.0
         tol = 1e-13 * n
         mean_error = abs(np.arange(n + 1) @ mass - metrics.expected_successes)
@@ -199,14 +202,6 @@ class TestBruteForce:
     def test_string_objective_accepted(self):
         order, value = brute_force_optimal(VEC_B, DECAY_01, "all")
         assert abs(value - 0.0036) <= 1e-12
-
-
-UNIT_ROUNDOFF = 2.0**-53
-
-
-def gamma(k):
-    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k roundings."""
-    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
 
 
 @st.composite
