@@ -78,10 +78,38 @@ MUTANTS = (
     ),
     Mutant(
         "_kernels.py",
-        "pick = int(np.argmax(folds == target))",
-        "pick = int(folds.size - 1 - np.argmax(folds[::-1] == target))",
+        "pick = int((folds == target).argmax())",
+        "pick = int(folds.size - 1 - (folds[::-1] == target).argmax())",
         "killed",
         "ties go to the largest item instead of the smallest",
+    ),
+    Mutant(
+        "_kernels.py",
+        "begin = 1",
+        "begin = 0",
+        "killed",
+        "the size-1 layer's slice starts on the empty set's position",
+    ),
+    Mutant(
+        "_kernels.py",
+        "position[subsets ^ (1 << items)]",
+        "subsets ^ (1 << items)",
+        "killed",
+        "preds hold raw bitmasks instead of popcount positions",
+    ),
+    Mutant(
+        "_kernels.py",
+        "np.maximum.reduce(prior, axis=0",
+        "np.minimum.reduce(prior, axis=0",
+        "killed",
+        "each subset keeps its worst fold",
+    ),
+    Mutant(
+        "_kernels.py",
+        'np.argsort(sizes, kind="stable")',
+        "np.argsort(sizes)",
+        "killed",
+        "subsets of one size leave ascending order: same results, but the plan is wrong",
     ),
     Mutant(
         "analysis.py",

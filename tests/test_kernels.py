@@ -10,7 +10,7 @@ from oracles import best_order_by_enumeration
 
 import decaysched
 from decaysched import AdditiveDecay, stage_item_matrix
-from decaysched._kernels import best_permutation, count_positive_trials
+from decaysched._kernels import _subset_layers, best_permutation, count_positive_trials
 
 
 @st.composite
@@ -92,6 +92,36 @@ class TestBestPermutation:
         value, perm = best_permutation(table, use_product=False)
         np.testing.assert_array_equal(perm, [0, 1, 2])
         assert value == pytest.approx(2.7, abs=1e-12)
+
+
+class TestSubsetLayers:
+    """The search's plan, checked on its own so that a broken plan fails here."""
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_plan_is_popcount_ordered_and_points_one_layer_back(self, k):
+        # position p holds the p-th bitmask ordered by size, then by value
+        masks = sorted(range(1 << k), key=lambda mask: (bin(mask).count("1"), mask))
+        layers = _subset_layers(k)
+        assert len(layers) == k
+        begin = 1
+        for size, (layer, items, preds) in enumerate(layers, start=1):
+            width = math.comb(k, size)
+            assert (layer.start, layer.stop, layer.step) == (begin, begin + width, None), size
+            assert items.shape == preds.shape == (size, width), size
+            assert (np.diff(items, axis=0) > 0).all(), f"size {size}: items not ascending"
+            below = range(begin - math.comb(k, size - 1), begin)
+            assert ((preds >= below.start) & (preds < below.stop)).all(), (
+                f"size {size}: a pred lies outside the size-{size - 1} slice"
+            )
+            for column, position in enumerate(range(layer.start, layer.stop)):
+                mask = masks[position]
+                assert items[:, column].tolist() == [i for i in range(k) if mask >> i & 1]
+                for item, pred in zip(items[:, column].tolist(), preds[:, column].tolist()):
+                    assert masks[pred] == mask ^ (1 << item), (
+                        f"size {size}: position {pred} is not mask {mask} without item {item}"
+                    )
+            begin = layer.stop
+        assert begin == 1 << k
 
 
 def count_reference(draws, thresholds):
