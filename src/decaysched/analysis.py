@@ -120,11 +120,12 @@ def _weakest_first(model: PopulationModel, thresholds: np.ndarray, first: int) -
     step is computed for a Poisson(n) number of points, where the count in
     each slab between boundaries is Poisson(n * (a_k - a_prev)) whatever
     ``c`` is, so each step is one convolution; conditioning on exactly
-    ``n`` points at the end recovers the uniform result.  Every term is a
-    non-negative product, so nothing cancels: the result agrees with the
-    same recursion in 40-digit arithmetic within 5e-14 relative for n up to
-    200.  Terms below ``_FLUSH_BELOW`` are dropped, which moves the
-    result by less than 1e-140.
+    ``n`` points at the end recovers the uniform result.  The log-pmfs and
+    the final step cancel terms of size ``k * log(k)``, so the error grows
+    with n: tier-1 holds it within 5e-14 relative of Steck's determinant at
+    n = 40 and 120, but at n = 150 one model is off by 1.9e-13 (ROADMAP
+    item 5 has the wider measurements).  Terms below ``_FLUSH_BELOW`` are
+    dropped, which moves the result by less than 1e-140.
 
     Cost: at most about n**2 * min(n / 3, 130) multiply-adds, because each
     Poisson pmf is cut where it falls below ``_FLUSH_BELOW``.  On one

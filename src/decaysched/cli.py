@@ -99,7 +99,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     _emit(
         {
             "order": [int(i) for i in order],
-            "stage_probabilities": metrics.stage_probabilities.probs.tolist(),
+            "stage_probabilities": metrics.stage_probabilities.tolist(),
             "expected_successes": metrics.expected_successes,
             "prob_all_success": metrics.prob_all_success,
         },
@@ -186,7 +186,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             {
                 **dataclasses.asdict(model),
                 "seed": args.seed,
-                "initial_probabilities": matrix.initial_probabilities.probs.tolist(),
+                "initial_probabilities": matrix.initial_probabilities.tolist(),
                 "cells": [[float(v) for v in row] for row in matrix.cells],
             },
             args.format,

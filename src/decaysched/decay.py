@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import ProbabilityVector, _as_probability_vector
+from .distribution import _as_probability_vector, _frozen
 
 __all__ = ["AdditiveDecay", "MultiplicativeDecay", "stage_probabilities"]
 
@@ -118,12 +118,13 @@ def _decayed(p0: np.ndarray, stage: np.ndarray, decay: _DecaySpec) -> np.ndarray
     raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
 
 
-def stage_probabilities(p0_in_service_order, decay: _DecaySpec) -> ProbabilityVector:
+def stage_probabilities(p0_in_service_order, decay: _DecaySpec) -> np.ndarray:
     """Apply a decay law to probabilities already arranged in service order.
 
-    The multiplicative law's stage factors multiply to
+    Returns a read-only float64 array with one value per item, each in
+    [0, 1].  The multiplicative law's stage factors multiply to
     ``factor**(n*(n-1)/2)`` whatever the order, which is why the all-success
     probability is order-invariant under that law.
     """
     pv = _as_probability_vector(p0_in_service_order)
-    return ProbabilityVector(_decayed(pv.probs, np.arange(pv.n), decay))
+    return _frozen(_decayed(pv.probs, np.arange(pv.n), decay))

@@ -21,14 +21,15 @@ __all__ = ["ProbabilityVector", "SuccessCountPmf", "success_count_pmf"]
 class ProbabilityVector:
     """Ordered per-item success probabilities, each in [0, 1], length >= 1.
 
-    The underlying array is copied on construction and frozen, so instances
-    are immutable and safe to share across threads.
+    The package's one check of probabilities.  The array is copied on
+    construction and frozen, so instances are immutable and safe to share
+    across threads; ``-0.0`` is stored as ``0.0``, so no output shows ``-0``.
     """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.probs, dtype=np.float64)
+        arr = np.asarray(self.probs, dtype=np.float64) + 0.0
         if arr.ndim != 1:
             raise ValueError(f"probabilities must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
@@ -50,6 +51,13 @@ class ProbabilityVector:
         return np.array_equal(self.probs, other.probs)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``, as every result record holds."""
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_probability_vector(values) -> ProbabilityVector:
     """Coerce an array-like of probabilities into a validated ProbabilityVector."""
     if isinstance(values, ProbabilityVector):
@@ -69,9 +77,7 @@ class SuccessCountPmf:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.mass, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "mass", arr)
+        object.__setattr__(self, "mass", _frozen(self.mass))
 
 
 def success_count_pmf(pv) -> SuccessCountPmf:
@@ -94,8 +100,12 @@ def success_count_pmf(pv) -> SuccessCountPmf:
     >>> success_count_pmf([0.5, 0.5]).mass.tolist()
     [0.25, 0.5, 0.25]
     """
-    pv = _as_probability_vector(pv)
+    return _convolved_pmf(_as_probability_vector(pv).probs)
+
+
+def _convolved_pmf(probs: np.ndarray) -> SuccessCountPmf:
+    """``success_count_pmf`` of probabilities that a caller has already checked."""
     mass = np.ones(1)
-    for p in pv.probs:
+    for p in probs:
         mass = np.convolve(mass, np.array([1.0 - p, p]))
     return SuccessCountPmf(mass)

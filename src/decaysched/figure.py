@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import PopulationModel
-from .decay import AdditiveDecay
-from .distribution import ProbabilityVector, _as_probability_vector
-from .scheduler import stage_item_matrix
+from .decay import AdditiveDecay, _decayed
+from .distribution import _frozen
 
 __all__ = ["FigureMatrix", "generate_figure_matrix", "figure_csv", "figure_svg"]
 
@@ -30,37 +29,37 @@ class FigureMatrix:
 
     ``cells[i, j]`` is the probability that item ``j`` (0-based, items sorted
     ascending by initial probability) succeeds if served at stage ``i + 1``,
-    i.e. exactly ``(P0(j) - decay_step * i)^+``.  Rows are non-increasing
-    down each column and ascending across each row by construction.
+    i.e. exactly ``(P0(j) - decay_step * i)^+``.  A record: it freezes
+    float64 copies and checks only the step, through the decay law.
+    Columns are non-increasing down the stages, and rows ascend when the
+    initial probabilities do, as ``generate_figure_matrix`` sorts them.
     """
 
-    initial_probabilities: ProbabilityVector
+    initial_probabilities: np.ndarray
     decay_step: float
     cells: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        pv = _as_probability_vector(self.initial_probabilities)
-        if (np.diff(pv.probs) < 0.0).any():
-            raise ValueError("initial_probabilities must be sorted ascending")
-        cells = stage_item_matrix(pv, AdditiveDecay(self.decay_step, pv.n))
-        cells.flags.writeable = False
-        object.__setattr__(self, "initial_probabilities", pv)
-        object.__setattr__(self, "cells", cells)
+        p0 = _frozen(self.initial_probabilities)
+        stages = np.arange(p0.size)[:, None]
+        cells = _decayed(p0[None, :], stages, AdditiveDecay(self.decay_step, p0.size))
+        object.__setattr__(self, "initial_probabilities", p0)
+        object.__setattr__(self, "cells", _frozen(cells))
 
     @property
     def n(self) -> int:
-        return self.initial_probabilities.n
+        return self.initial_probabilities.size
 
 
 def generate_figure_matrix(model: PopulationModel, seed: int) -> FigureMatrix:
     """Draw the model's n initial probabilities and tabulate decayed values.
 
-    The draw is sorted ascending, so the weakest item sits in column 0.
-    Deterministic for a given seed.
+    The draw is sorted ascending, so the weakest item sits in column 0, and
+    each draw lies in [low, high].  Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
     draws = np.sort(rng.uniform(model.low, model.high, size=model.n))
-    return FigureMatrix(ProbabilityVector(draws), model.decay_step)
+    return FigureMatrix(draws, model.decay_step)
 
 
 def figure_csv(matrix: FigureMatrix, header: bool = False) -> str:

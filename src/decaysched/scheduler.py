@@ -17,20 +17,8 @@ from typing import Literal
 import numpy as np
 
 from . import _kernels
-from .decay import (
-    AdditiveDecay,
-    MultiplicativeDecay,
-    _as_permutation,
-    _decayed,
-    _DecaySpec,
-    stage_probabilities,
-)
-from .distribution import (
-    ProbabilityVector,
-    SuccessCountPmf,
-    _as_probability_vector,
-    success_count_pmf,
-)
+from .decay import AdditiveDecay, MultiplicativeDecay, _as_permutation, _decayed, _DecaySpec
+from .distribution import SuccessCountPmf, _as_probability_vector, _convolved_pmf, _frozen
 
 __all__ = [
     "Objective",
@@ -62,26 +50,27 @@ class Objective(enum.Enum):
 class ScheduleMetrics:
     """Success metrics of one evaluated service order.
 
-    Built from the at-processing-time probabilities alone; the other fields
-    are computed from them: ``expected_successes`` (their sum) and
-    ``prob_all_success`` (their product) at once, and ``pmf``, the O(n^2)
-    success-count distribution, on first read.  The pmf's mean and top
-    entry match the first two up to rounding that grows with n.
+    A record: it freezes a float64 copy of the at-processing-time
+    probabilities, checks nothing, and computes from them
+    ``expected_successes`` (their sum) and ``prob_all_success`` (their
+    product) at once, and ``pmf``, the O(n^2) success-count distribution,
+    on first read.  The pmf's mean and top entry match the first two up to
+    rounding that grows with n.
     """
 
-    stage_probabilities: ProbabilityVector
+    stage_probabilities: np.ndarray
     expected_successes: float = field(init=False)
     prob_all_success: float = field(init=False)
 
     def __post_init__(self) -> None:
-        p1 = _as_probability_vector(self.stage_probabilities)
+        p1 = _frozen(self.stage_probabilities)
         object.__setattr__(self, "stage_probabilities", p1)
-        object.__setattr__(self, "expected_successes", float(np.sum(p1.probs)))
-        object.__setattr__(self, "prob_all_success", float(np.prod(p1.probs)))
+        object.__setattr__(self, "expected_successes", float(np.sum(p1)))
+        object.__setattr__(self, "prob_all_success", float(np.prod(p1)))
 
     @cached_property
     def pmf(self) -> SuccessCountPmf:
-        return success_count_pmf(self.stage_probabilities)
+        return _convolved_pmf(self.stage_probabilities)
 
     def value(self, objective: Objective) -> float:
         if Objective(objective) is Objective.EXPECTED_SUCCESSES:
@@ -115,11 +104,11 @@ def evaluate_order(p0, order, decay: _DecaySpec) -> ScheduleMetrics:
 
     ``order[i]`` names the item served at stage ``i``; the decay law is applied
     to the reordered vector and all metrics derive from the resulting
-    at-processing-time probabilities.
+    at-processing-time probabilities, one per item, each in [0, 1].
     """
     pv = _as_probability_vector(p0)
     perm = _as_permutation(order, n=pv.n)
-    return ScheduleMetrics(stage_probabilities(pv.probs[perm], decay))
+    return ScheduleMetrics(_decayed(pv.probs[perm], np.arange(pv.n), decay))
 
 
 def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the goldens, then the kernels and the modules whose results are records
+# the goldens, then the kernels and the modules whose results are records;
+# the figure's record tests live with the CLI's, in one class
 GATES = (
     "tests/test_cli_golden.py",
     "tests/test_library_golden.py",
@@ -42,6 +43,8 @@ GATES = (
     "tests/test_analysis.py",
     "tests/test_distribution.py",
     "tests/test_decay.py",
+    "tests/test_scheduler.py",
+    "tests/test_cli.py::TestFigureMatrix",
 )
 
 
@@ -195,6 +198,49 @@ MUTANTS = (
         "mass = np.convolve(mass, np.array([1.0 - p, p * (1 + 1e-9)]))",
         "killed",
         "a sum off by about n * 1e-9, inside a 1e-3 tolerance",
+    ),
+    # the input type, and the array records that no longer check what they hold
+    Mutant(
+        "distribution.py",
+        "arr = np.asarray(self.probs, dtype=np.float64) + 0.0",
+        "arr = np.asarray(self.probs, dtype=np.float64)",
+        "killed",
+        "-0.0 is stored as given, and a float64 input array is frozen in place",
+    ),
+    Mutant(
+        "distribution.py",
+        "arr = np.array(values, dtype=np.float64)",
+        "arr = np.asarray(values, dtype=np.float64)",
+        "killed",
+        "records share the caller's array instead of copying it",
+    ),
+    Mutant(
+        "decay.py",
+        "return _frozen(_decayed(pv.probs, np.arange(pv.n), decay))",
+        "return _decayed(pv.probs, np.arange(pv.n), decay)",
+        "killed",
+        "stage_probabilities returns a writeable array",
+    ),
+    Mutant(
+        "scheduler.py",
+        "p1 = _frozen(self.stage_probabilities)",
+        "p1 = np.asarray(self.stage_probabilities, dtype=np.float64)",
+        "killed",
+        "ScheduleMetrics no longer freezes its copy",
+    ),
+    Mutant(
+        "figure.py",
+        "p0 = _frozen(self.initial_probabilities)",
+        "p0 = np.asarray(self.initial_probabilities, dtype=np.float64)",
+        "killed",
+        "FigureMatrix no longer freezes its initial probabilities",
+    ),
+    Mutant(
+        "figure.py",
+        "draws = np.sort(rng.uniform(model.low, model.high, size=model.n))",
+        "draws = rng.uniform(model.low, model.high, size=model.n)",
+        "killed",
+        "the draws are not sorted, which FigureMatrix no longer checks",
     ),
 )
 

@@ -155,7 +155,7 @@ def test_criterion_7_figure_matrix_reproduction():
     ok = True
     for seed in range(20):
         matrix = generate_figure_matrix(REFERENCE_MODEL, seed)
-        p0 = matrix.initial_probabilities.probs
+        p0 = matrix.initial_probabilities
         want = np.maximum(p0[None, :] - 0.06 * np.arange(13)[:, None], 0.0)
         ok = (
             ok

@@ -328,8 +328,8 @@ class TestWeakestFirstRecursion:
         ids=["n40", "n120", "n120-narrow", "n150"],
     )
     def test_matches_steck_determinant_within_documented_error(self, model):
-        # _weakest_first claims 5e-14 relative up to n = 200; at n = 120 a
-        # flush threshold of 2**-45 moves these values by over 1.4e-13
+        # _weakest_first's docstring states 5e-14 relative at n = 40 and 120; a
+        # flush threshold of 2**-45 moves the n = 120 values by over 1.4e-13
         exact = prob_weakest_first_positive_steck(model)
         error = abs(Fraction(positivity_report(model).prob_weakest_first_positive) - exact)
         assert error <= Fraction(5e-14) * exact

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from decaysched import (
     AdditiveDecay,
     MultiplicativeDecay,
+    ProbabilityVector,
     stage_probabilities,
 )
 from decaysched.decay import _as_permutation, _linear_drops
@@ -103,13 +104,13 @@ class TestApplyAdditive:
 
     def test_worked_vector(self):
         p1 = stage_probabilities([0.8, 0.9, 0.7, 0.7], AdditiveDecay(0.1, 4))
-        np.testing.assert_allclose(p1.probs, [0.8, 0.8, 0.5, 0.4], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(p1, [0.8, 0.8, 0.5, 0.4], rtol=0.0, atol=1e-12)
 
     def test_clamps_at_zero_exactly(self):
         p1 = stage_probabilities([0.8, 0.9, 0.1, 0.2], AdditiveDecay(0.1, 4))
-        assert p1.probs[2] == 0.0
-        assert p1.probs[3] == 0.0
-        np.testing.assert_allclose(p1.probs[:2], [0.8, 0.8], rtol=0.0, atol=1e-12)
+        assert p1[2] == 0.0
+        assert p1[3] == 0.0
+        np.testing.assert_allclose(p1[:2], [0.8, 0.8], rtol=0.0, atol=1e-12)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="decay has 1 stages, expected 2"):
@@ -122,8 +123,8 @@ class TestApplyAdditive:
     @given(probability_lists, st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
     def test_result_bounded_by_input(self, probs, rate):
         p1 = stage_probabilities(probs, AdditiveDecay.linear(rate, len(probs)))
-        assert (p1.probs >= 0.0).all()
-        assert (p1.probs <= np.asarray(probs) + 1e-15).all()
+        assert (p1 >= 0.0).all()
+        assert (p1 <= np.asarray(probs) + 1e-15).all()
 
 
 class TestApplyMultiplicative:
@@ -131,11 +132,11 @@ class TestApplyMultiplicative:
 
     def test_stage_factors(self):
         p1 = stage_probabilities([1.0, 1.0, 1.0, 1.0], MultiplicativeDecay(0.5))
-        np.testing.assert_array_equal(p1.probs, [1.0, 0.5, 0.25, 0.125])
+        np.testing.assert_array_equal(p1, [1.0, 0.5, 0.25, 0.125])
 
     def test_first_stage_undecayed(self):
         p1 = stage_probabilities([0.8, 0.8, 0.8], MultiplicativeDecay(0.5))
-        np.testing.assert_allclose(p1.probs, [0.8, 0.4, 0.2], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(p1, [0.8, 0.4, 0.2], rtol=0.0, atol=1e-15)
 
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
@@ -146,18 +147,36 @@ class TestApplyMultiplicative:
     @given(probability_lists, st.floats(min_value=0.01, max_value=0.99, allow_nan=False))
     def test_result_bounded_by_input(self, probs, factor):
         p1 = stage_probabilities(probs, MultiplicativeDecay(factor))
-        assert (p1.probs >= 0.0).all()
-        assert (p1.probs <= np.asarray(probs)).all()
+        assert (p1 >= 0.0).all()
+        assert (p1 <= np.asarray(probs)).all()
 
 
 class TestStageProbabilitiesDispatch:
     def test_additive(self):
         got = stage_probabilities([0.8, 0.9], AdditiveDecay.linear(0.1, 2))
-        np.testing.assert_allclose(got.probs, [0.8, 0.8], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(got, [0.8, 0.8], rtol=0.0, atol=1e-15)
 
     def test_multiplicative(self):
         got = stage_probabilities([0.8, 0.9], MultiplicativeDecay(0.5))
-        np.testing.assert_allclose(got.probs, [0.8, 0.45], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(got, [0.8, 0.45], rtol=0.0, atol=1e-15)
+
+    # nothing checks the result again, so this property is its only gate
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        kind=st.sampled_from(["list", "array", "vector"]),
+        rate=st.none() | st.floats(0.0, 1e308),
+        factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_result_is_a_frozen_copy_with_one_probability_per_item(self, probs, kind, rate, factor):
+        p0 = {"list": probs, "array": np.array(probs), "vector": ProbabilityVector(probs)}[kind]
+        decay = MultiplicativeDecay(factor) if rate is None else AdditiveDecay(rate, len(probs))
+        p1 = stage_probabilities(p0, decay)
+        assert isinstance(p1, np.ndarray) and p1.dtype == np.float64
+        assert p1.shape == (len(probs),)
+        assert ((p1 >= 0.0) & (p1 <= 1.0)).all()
+        assert not p1.flags.writeable
+        assert not np.shares_memory(p1, p0.probs if kind == "vector" else p0)
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError, match="decay must be"):

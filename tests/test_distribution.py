@@ -46,6 +46,11 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             pv.probs[0] = 0.9
 
+    def test_negative_zero_is_stored_as_zero(self):
+        pv = ProbabilityVector([-0.0, 0.5])
+        assert pv.probs.tolist() == [0.0, 0.5]
+        assert not np.signbit(pv.probs).any()
+
     def test_equality(self):
         assert ProbabilityVector(np.array([0.2])) == ProbabilityVector(np.array([0.2]))
         assert ProbabilityVector(np.array([0.2])) != ProbabilityVector(np.array([0.3]))

@@ -94,7 +94,7 @@ def evaluate_case(n: int, law: str, order_name: str) -> dict:
     }[order_name]
     metrics = evaluate_order(p0, order, decay)
     return {
-        "stage_probabilities": digest(metrics.stage_probabilities.probs),
+        "stage_probabilities": digest(metrics.stage_probabilities),
         "expected_successes": metrics.expected_successes.hex(),
         "prob_all_success": metrics.prob_all_success.hex(),
         "pmf.mass": digest(metrics.pmf.mass),

@@ -11,6 +11,7 @@ from decaysched import (
     AdditiveDecay,
     MultiplicativeDecay,
     Objective,
+    ProbabilityVector,
     ScheduleMetrics,
     brute_force_optimal,
     evaluate_order,
@@ -106,6 +107,14 @@ class TestScheduleMetrics:
         assert abs(metrics.expected_successes - 2.5) <= 1e-12
         assert abs(metrics.prob_all_success - 0.128) <= 1e-12
 
+    def test_record_freezes_a_copy_and_checks_nothing(self):
+        source = np.array([0.5, 1.5])
+        metrics = ScheduleMetrics(source)
+        source[0] = 0.0
+        assert metrics.stage_probabilities.tolist() == [0.5, 1.5]
+        assert not metrics.stage_probabilities.flags.writeable
+        assert metrics.prob_all_success == 0.75
+
     def test_value_selects_objective(self):
         metrics = ScheduleMetrics([0.5, 0.5])
         assert metrics.value(Objective.EXPECTED_SUCCESSES) == metrics.expected_successes
@@ -139,7 +148,7 @@ class TestEvaluateOrder:
             calls.append(probabilities)
             return success_count_pmf(probabilities)
 
-        monkeypatch.setattr(scheduler, "success_count_pmf", counting_pmf)
+        monkeypatch.setattr(scheduler, "_convolved_pmf", counting_pmf)
         n = 100_000
         p0 = np.random.default_rng(8).uniform(0.5, 1.0, n)
         metrics = evaluate_order(p0, np.arange(n), MultiplicativeDecay(1.0 - 1e-6))
@@ -150,7 +159,30 @@ class TestEvaluateOrder:
         assert len(calls) == 1
         eager = success_count_pmf(stage_probabilities(np.take(VEC_A, [2, 0, 3, 1]), DECAY_01))
         np.testing.assert_array_equal(first.mass, eager.mass)
-        assert metrics.stage_probabilities.n == n
+        assert metrics.stage_probabilities.size == n
+
+    # ScheduleMetrics checks nothing, so this property is the gate of what
+    # evaluate_order gives it
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        data=st.data(),
+        probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        kind=st.sampled_from(["list", "array", "vector"]),
+        rate=st.none() | st.floats(0.0, 1e308),
+        factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_stage_probabilities_are_a_frozen_copy_in_the_unit_interval(
+        self, data, probs, kind, rate, factor
+    ):
+        p0 = {"list": probs, "array": np.array(probs), "vector": ProbabilityVector(probs)}[kind]
+        order = data.draw(st.permutations(range(len(probs))))
+        decay = MultiplicativeDecay(factor) if rate is None else AdditiveDecay(rate, len(probs))
+        p1 = evaluate_order(p0, order, decay).stage_probabilities
+        assert isinstance(p1, np.ndarray) and p1.dtype == np.float64
+        assert p1.shape == (len(probs),)
+        assert ((p1 >= 0.0) & (p1 <= 1.0)).all()
+        assert not p1.flags.writeable
+        assert not np.shares_memory(p1, p0.probs if kind == "vector" else p0)
 
     def test_order_validation(self):
         with pytest.raises(ValueError, match="length"):
