@@ -21,10 +21,9 @@ into its slice; numpy reduces a short trailing axis far more slowly.  At
 n = 6..9 the time goes to numpy's fixed cost per call, so each layer makes
 as few calls as it can.
 
-The counter sorts each block of trials once and compares only the live
-stages, those whose threshold is at or above the block's smallest draw:
-a stage below it cannot fail.  With the default population (13 items on
-(0.5, 1.0), step 0.06) that is 4 of 13 stages.
+The counter relies on non-decreasing thresholds.  It sorts each block of
+trials once, serves it ascending from the first stage at or above its
+smallest draw, and serves it descending by one column.
 """
 
 from __future__ import annotations
@@ -147,22 +146,20 @@ def count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[in
     counts only if every comparison is strictly greater.  Returns the counts
     for both orders as ``(ascending, descending)``.
 
-    Only the stages from the first live one on are compared, where a stage
-    is live when its threshold is at or above the smallest draw: every
-    served value is at least that draw, so a stage below it passes in every
-    row.  For non-decreasing thresholds the compared stages are exactly the
-    live ones.  An infinite threshold is live and fails every row.
+    Ascending service compares only the stages from the first whose
+    threshold is at or above the smallest draw, found by binary search: a
+    stage before it passes in every row.  Descending service serves each
+    row's smallest value last, against the largest threshold, so that one
+    comparison decides the row.  An infinite threshold fails every row.
 
     Precondition, not checked here: ``draws`` is a float64 array of shape
-    ``(rows, n)`` and ``thresholds`` one of shape ``(n,)``, neither holding
-    NaN, as ``analysis.positivity_report_montecarlo`` passes them.
+    ``(rows, n)`` and ``thresholds`` a non-decreasing one of shape ``(n,)``,
+    neither holding NaN, as ``analysis.positivity_report_montecarlo`` passes them.
     """
-    n = draws.shape[1]
     s = np.sort(draws, axis=1)
-    live = np.flatnonzero(thresholds >= s[:, :1].min(initial=np.inf))
-    first = int(live[0]) if live.size else n
-    # np.all folds a short row slowly, so lay the comparison out stage by
-    # stage; descending serves column j at stage n - 1 - j
+    first = int(np.searchsorted(thresholds, s[:, :1].min(initial=np.inf)))
+    # np.all folds a short row slowly, so lay the comparison out stage by stage
     ascending = np.greater(s[:, first:], thresholds[first:], order="F").all(axis=1)
-    descending = np.greater(s[:, : n - first], thresholds[::-1][: n - first], order="F").all(axis=1)
+    # one column: empty for zero stages, which every row then clears
+    descending = (s[:, :1] > thresholds[-1:]).all(axis=1)
     return int(ascending.sum()), int(descending.sum())

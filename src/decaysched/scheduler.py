@@ -79,24 +79,26 @@ class ScheduleMetrics:
 
 
 def sort_order(p0, direction: OrderDirection) -> np.ndarray:
-    """Permutation arranging the items by initial probability, ties kept stable.
+    """Read-only permutation arranging the items by initial probability.
 
     Ascending order serves the weakest item first; descending the strongest.
     Equal probabilities keep their original relative order.
     """
     pv = _as_probability_vector(p0)
-    if direction == "ascending":
-        return np.argsort(pv.probs, kind="stable")
-    if direction == "descending":
-        return np.argsort(-pv.probs, kind="stable")
-    raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
+    if direction not in ("ascending", "descending"):
+        raise ValueError(f"direction must be 'ascending' or 'descending', got {direction!r}")
+    order = np.argsort(pv.probs if direction == "ascending" else -pv.probs, kind="stable")
+    order.flags.writeable = False
+    return order
 
 
 def stage_item_matrix(p0, decay: _DecaySpec) -> np.ndarray:
-    """Table of at-processing-time probabilities: entry (i, j) is the value
-    item ``j`` would have if served at stage ``i`` (both 0-based)."""
+    """Read-only table of at-processing-time probabilities: entry (i, j) is
+    the value item ``j`` would have if served at stage ``i`` (both 0-based)."""
     pv = _as_probability_vector(p0)
-    return _decayed(pv.probs[None, :], np.arange(pv.n)[:, None], decay)
+    table = _decayed(pv.probs[None, :], np.arange(pv.n)[:, None], decay)
+    table.flags.writeable = False
+    return table
 
 
 def evaluate_order(p0, order, decay: _DecaySpec) -> ScheduleMetrics:

@@ -1,0 +1,125 @@
+"""The package's stated accuracy claims, checked where tier-1 cannot afford to.
+
+Run by hand, not by the test suite (about 40 s, most of it in Steck's
+determinant at n = 600):
+
+    python3 tests/accuracy.py
+
+Each claim prints one line: its verdict against the expected one, the
+worst measured error and where it was measured, the bound, the margin
+(bound minus worst error, negative when the claim fails) and the claim
+itself.  A claim is expected to "hold" or to "fail": a failure that is
+known and not yet fixed is recorded as expected, as ``tests/mutants.py``
+records its survivors, and the fix flips it.  The script exits 1 if any
+verdict differs from the expected one.
+
+Standard library, numpy and ``tests/oracles.py`` only.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "src") not in sys.path:  # run from a checkout without installing
+    sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+from oracles import gamma, prob_weakest_first_positive_steck  # noqa: E402
+
+from decaysched import PopulationModel, positivity_report, success_count_pmf  # noqa: E402
+
+
+class Claim(NamedTuple):
+    text: str
+    bound: float
+    measure: Callable[[], tuple[float, str]]  # the worst error, and where it was seen
+    expected: str  # "holds" or "fails"
+
+
+def _weakest_first(model: PopulationModel) -> float:
+    return positivity_report(model).prob_weakest_first_positive
+
+
+def _steck_error() -> tuple[float, str]:
+    """Worst relative error of the recursion against Steck's exact value."""
+    models = [
+        PopulationModel(150, 0.0, 0.1, 0.0005),
+        PopulationModel(300, 0.0, 1.0, 0.003),
+        PopulationModel(300, 0.0, 0.1, 0.0003),
+        PopulationModel(600, 0.0, 1.0, 0.0015),
+        PopulationModel(600, 0.2, 0.8, 0.5 / 599),
+    ]
+    errors = []
+    for model in models:
+        exact = prob_weakest_first_positive_steck(model)
+        error = abs(Fraction(_weakest_first(model)) - exact) / exact
+        errors.append((float(error), f"n={model.n} low={model.low} high={model.high}"))
+    return max(errors)
+
+
+def _low_decrease() -> tuple[float, str]:
+    """How far weakest-first falls when ``low`` rises by 1e-9."""
+    step, low = 0.00020632743784864855, 0.027211461264797593
+    before = _weakest_first(PopulationModel(3000, low, 1.0, step))
+    after = _weakest_first(PopulationModel(3000, low + 1e-9, 1.0, step))
+    return max(before - after, 0.0), f"{before!r} -> {after!r}"
+
+
+def _pmf_sum_error() -> tuple[float, str]:
+    """Worst distance from 1 of the exact sum of the pmf's entries."""
+    errors = []
+    for low in (0.0, 0.5, 0.99):
+        probs = np.random.default_rng(10**4).uniform(low, 1.0, 10**4)
+        total = sum(map(Fraction, success_count_pmf(probs).mass.tolist()), Fraction(0))
+        errors.append((float(abs(total - 1)), f"U({low}, 1)"))
+    return max(errors)
+
+
+CLAIMS = (
+    Claim(
+        "the recursion is within 5e-14 relative of Steck's determinant, n = 150..600",
+        5e-14,
+        _steck_error,
+        "fails",  # ROADMAP item 5
+    ),
+    Claim(
+        "weakest-first does not decrease in low, n = 3000",
+        0.0,
+        _low_decrease,
+        "fails",  # ROADMAP item 5
+    ),
+    Claim(
+        # the stated underflow term, n**2 * 2**-1074, is below gamma_3n's last bit
+        "the pmf sums to 1 within gamma_3n, n = 10**4",
+        gamma(3 * 10**4),
+        _pmf_sum_error,
+        "holds",
+    ),
+)
+
+
+def main() -> int:
+    wrong = 0
+    for index, claim in enumerate(CLAIMS):
+        start = time.perf_counter()
+        worst, where = claim.measure()
+        verdict = "holds" if worst <= claim.bound else "fails"
+        ok = verdict == claim.expected
+        wrong += not ok
+        print(
+            f"{index} {'ok  ' if ok else 'FAIL'} {verdict} worst {worst:.3g} ({where}) "
+            f"bound {claim.bound:.3g} margin {claim.bound - worst:.3g} "
+            f"{time.perf_counter() - start:5.1f}s: {claim.text}",
+            flush=True,
+        )
+    print(f"{len(CLAIMS) - wrong} of {len(CLAIMS)} claims got their expected verdict")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,10 +60,24 @@ MUTANTS = (
     # the kernels and the recursion
     Mutant(
         "_kernels.py",
-        "live = np.flatnonzero(thresholds >= s",
-        "live = np.flatnonzero(thresholds > s",
+        "first = int(np.searchsorted(thresholds, s[:, :1].min(initial=np.inf)))",
+        'first = int(np.searchsorted(thresholds, s[:, :1].min(initial=np.inf), side="right"))',
         "killed",
         "a stage whose threshold equals the smallest draw is skipped",
+    ),
+    Mutant(
+        "_kernels.py",
+        "descending = (s[:, :1] > thresholds[-1:])",
+        "descending = (s[:, :1] >= thresholds[-1:])",
+        "killed",
+        "strongest first: a smallest draw equal to the last threshold counts as positive",
+    ),
+    Mutant(
+        "_kernels.py",
+        "descending = (s[:, :1] > thresholds[-1:])",
+        "descending = (s[:, :1] > thresholds[:1])",
+        "killed",
+        "strongest first: the smallest draw faces the first threshold, not the last",
     ),
     Mutant(
         "_kernels.py",
@@ -227,6 +241,20 @@ MUTANTS = (
         "p1 = np.asarray(self.stage_probabilities, dtype=np.float64)",
         "killed",
         "ScheduleMetrics no longer freezes its copy",
+    ),
+    Mutant(
+        "scheduler.py",
+        "order.flags.writeable = False",
+        "order.flags.writeable = True",
+        "killed",
+        "sort_order returns a writeable array",
+    ),
+    Mutant(
+        "scheduler.py",
+        "table.flags.writeable = False",
+        "table.flags.writeable = True",
+        "killed",
+        "stage_item_matrix returns a writeable array",
     ),
     Mutant(
         "figure.py",

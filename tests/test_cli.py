@@ -1,11 +1,15 @@
 import ast
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -875,6 +879,118 @@ class TestCliPlumbing:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+
+# each flag's pool: (valid values, edge values); half the draws are valid, so
+# that many calls get past parsing.  n and trials stay small wherever they
+# are valid, so that the caps bound each call's time
+_HUGE = (str(2**63), str(10**30))
+_BAD_NUMBERS = ("", "nan", "1e3x", str(-(2**63)))
+_POPULATION = {
+    "--n": (("1", "2", "7"), ("0", "-1", "1e3", "1.5", "10001", *_HUGE, *_BAD_NUMBERS)),
+    "--decay": (
+        ("0.0", "-0.0", "5e-324", "0.06", "0.5", "1e308"),
+        ("inf", "-inf", "-1e308", *_BAD_NUMBERS),
+    ),
+    "--low": (
+        ("0.0", "-0.0", "5e-324", "0.5"),
+        ("inf", "-inf", "1e308", "-1e308", "1", *_BAD_NUMBERS),
+    ),
+    "--high": (("5e-324", "0.5", "1"), ("inf", "-inf", "1e308", "-0.0", *_BAD_NUMBERS)),
+}
+_SCENARIO = {"--scenario": (("-",), ("", "{tmp}/missing.json"))}
+# each subcommand's flags; None marks a flag without a value
+_FLAG_POOLS = {
+    "evaluate": {
+        **_SCENARIO,
+        "--order": (
+            ("identity", "ascending", "descending", "0", "0,1", "1,0", "0,1,2,3"),
+            ("", "-1,0", "0,,1", "1e3", f"{2**63},0", "x"),
+        ),
+    },
+    "optimize": {
+        **_SCENARIO,
+        "--objective": (("expected", "all"), ("",)),
+        "--method": (("brute", "sort"), ("",)),
+    },
+    "simulate": {
+        **_POPULATION,
+        "--trials": (("1", "1000"), ("0", "-1", "1e3", str(10**9 + 1), *_HUGE, *_BAD_NUMBERS)),
+        "--seed": (("0", "7", *_HUGE), ("-1", "1.5", *_BAD_NUMBERS)),
+    },
+    "positivity": _POPULATION,
+    "figure": {
+        **_POPULATION,
+        "--seed": (("0", "7", *_HUGE), ("-1", "1.5", *_BAD_NUMBERS)),
+        "--out": (("{tmp}/m.csv", "{tmp}/m.SVG"), ("", "out.txt", "{tmp}/missing/m.csv")),
+        "--header": None,
+    },
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """``(argv, format)``: a subcommand with some of its flags, each valid or at an edge."""
+    command = draw(st.sampled_from(sorted(_FLAG_POOLS)))
+    # every subcommand takes --format; structured output is checked most closely
+    fmt = draw(st.sampled_from(["structured", "text", ""]))
+    groups = [["--format", fmt]]
+    for flag, pools in _FLAG_POOLS[command].items():
+        if not draw(st.booleans()):
+            continue
+        if pools is None:
+            groups.append([flag])
+            continue
+        value = draw(st.sampled_from(pools[0]) | st.sampled_from(pools[1]))
+        # "--order -1,0" is read as an option; "--order=-1,0" reaches the program
+        groups.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    argv = [command] + [arg for group in draw(st.permutations(groups)) for arg in group]
+    return argv, fmt
+
+
+def _reject_constant(name):
+    raise AssertionError(f"structured output holds {name}")
+
+
+class TestCliNeverCrashes:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(call=cli_calls(), scenario=mutated_documents())
+    def test_exits_0_or_2_with_a_clean_report(self, call, scenario):
+        argv, fmt = call
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [arg.replace("{tmp}", tmp) for arg in argv]
+            start = time.perf_counter()
+            with (
+                mock.patch.object(sys, "stdin", io.StringIO(scenario)),
+                contextlib.redirect_stdout(out),
+                contextlib.redirect_stderr(err),
+            ):
+                code = main(argv)
+            elapsed = time.perf_counter() - start
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        assert elapsed < 10.0
+        if code == 2:
+            assert out == ""
+            if err.startswith("usage: "):
+                assert f"decaysched {argv[0]}: error: " in err.splitlines()[-1], err
+            else:
+                assert err.startswith("error: ") and err.endswith("\n"), err
+                assert err.count("\n") == 1, err
+        elif fmt == "structured":
+            assert out.count("\n") == 1
+            json.loads(out, parse_constant=_reject_constant)
+
+    def test_a_negative_order_fails_in_either_spelling(self, monkeypatch, capsys):
+        # argparse reads "-1,0,1,2" after a space as an option, so only the "="
+        # spelling reaches the permutation check; both exit 2
+        monkeypatch.setattr("sys.stdin", io.StringIO(SCENARIO_A))
+        code, _, err = run_cli(["evaluate", "--order", "-1,0,1,2"], capsys)
+        assert code == 2 and "argument --order: expected one argument" in err
+        monkeypatch.setattr("sys.stdin", io.StringIO(SCENARIO_A))
+        code, _, err = run_cli(["evaluate", "--order=-1,0,1,2"], capsys)
+        assert (code, err) == (2, "error: order [-1, 0, 1, 2] is not a permutation of 0..3\n")
 
 
 class TestImportCost:

@@ -55,7 +55,8 @@ class TestLinearDecaySequence:
     def test_overflow_is_left_to_callers_without_a_warning(self):
         assert AdditiveDecay(1e308, 3).decay_per_stage.tolist() == [0.0, 1e308, np.inf]
 
-    # positivity_report relies on this; nothing checks it at run time
+    # positivity_report and _kernels.count_positive_trials, through
+    # positivity_report_montecarlo, rely on this; nothing checks it at run time
     @settings(max_examples=200, derandomize=True)
     @given(st.floats(0.0, 1.7976931348623157e308), st.integers(1, 500))
     @example(1e308, 3)

@@ -136,21 +136,25 @@ def count_reference(draws, thresholds):
 
 @st.composite
 def counting_inputs(draw):
-    """Draws on a 0.2 grid, so some land exactly on a threshold."""
-    n = draw(st.integers(1, 6))
+    """Draws and non-decreasing thresholds on a 0.2 grid, so ties are common.
+
+    The counter requires thresholds that never decrease, as
+    ``_linear_drops`` gives them; the reference does not.
+    """
+    n = draw(st.integers(0, 6))
     rows = draw(st.integers(0, 40))
     steps = st.integers(0, 5)
     draws = np.array(draw(st.lists(steps, min_size=rows * n, max_size=rows * n)), dtype=float)
     draws = draws.reshape(rows, n) * 0.2
-    kind = draw(st.sampled_from(["grid", "sorted", "below"]))
-    thresholds = np.array(draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n))) * 0.2
-    if kind == "sorted":
-        thresholds = np.sort(thresholds)
+    kind = draw(st.sampled_from(["sorted", "overflow", "below"]))
+    thresholds = np.array(draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n)), dtype=float)
+    thresholds = np.sort(thresholds) * 0.2
+    if kind == "overflow":
+        # drops that overflow are an inf suffix
+        thresholds[draw(st.integers(0, n)):] = math.inf
     elif kind == "below":
         # below every draw, so no stage is live
         thresholds = thresholds - 2.0
-    elif draw(st.booleans()):
-        thresholds[draw(st.integers(0, n - 1))] = math.inf
     return draws, thresholds
 
 

@@ -79,6 +79,23 @@ class TestSortOrder:
         np.testing.assert_array_equal(sort_order([0.5, 0.5, 0.5], "ascending"), [0, 1, 2])
         np.testing.assert_array_equal(sort_order([0.5, 0.5, 0.5], "descending"), [0, 1, 2])
 
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        # ties are common, so stability is tested
+        probs=st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0), min_size=1, max_size=40),
+        kind=st.sampled_from(["list", "array", "vector"]),
+        direction=st.sampled_from(["ascending", "descending"]),
+    )
+    def test_result_is_a_frozen_stable_sorting_permutation(self, probs, kind, direction):
+        p0 = {"list": probs, "array": np.array(probs), "vector": ProbabilityVector(probs)}[kind]
+        order = sort_order(p0, direction)
+        assert isinstance(order, np.ndarray) and order.dtype == np.int64
+        assert sorted(order.tolist()) == list(range(len(probs)))
+        sign = 1.0 if direction == "ascending" else -1.0
+        keys = [(sign * probs[i], i) for i in order.tolist()]
+        assert keys == sorted(keys)
+        assert not order.flags.writeable
+
 
 class TestStageItemMatrix:
     def test_additive_formula(self):
@@ -93,6 +110,24 @@ class TestStageItemMatrix:
     def test_multiplicative_formula(self):
         table = stage_item_matrix([0.8, 0.4], MultiplicativeDecay(0.5))
         np.testing.assert_allclose(table, [[0.8, 0.4], [0.4, 0.2]], rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+        kind=st.sampled_from(["list", "array", "vector"]),
+        rate=st.none() | st.floats(0.0, 1e308),
+        factor=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_result_is_a_frozen_table_in_the_unit_interval(self, probs, kind, rate, factor):
+        p0 = {"list": probs, "array": np.array(probs), "vector": ProbabilityVector(probs)}[kind]
+        decay = MultiplicativeDecay(factor) if rate is None else AdditiveDecay(rate, len(probs))
+        table = stage_item_matrix(p0, decay)
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64
+        assert table.shape == (len(probs), len(probs))
+        assert ((table >= 0.0) & (table <= 1.0)).all()
+        assert table[0].tolist() == probs
+        assert not table.flags.writeable
+        assert not np.shares_memory(table, p0.probs if kind == "vector" else p0)
 
     def test_rejects_length_mismatch_and_bad_type(self):
         with pytest.raises(ValueError, match="stages"):
