@@ -18,6 +18,11 @@ whose threshold exceeds ``low`` can fail; ``m`` denotes their number.
 ``_weakest_first``) by the all-positive recursion of Noe (1972, *Ann.
 Math. Statist.* 43(1):58-64) in the Poisson form of Moscovich & Nadler
 (2017, *Stat. Probab. Lett.* 123:177-182).
+
+The Monte Carlo counter, like the closed form and the recursion, relies on
+the thresholds never decreasing.  It sorts each block of trials once,
+serves it ascending from the first stage at or above its smallest draw,
+and serves it descending by one column.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .decay import _check_positive_int, _linear_drops
 
 __all__ = [
@@ -181,6 +185,40 @@ def positivity_report(model: PopulationModel) -> PositivityReport:
     return PositivityReport(strongest, _weakest_first(model, c, first), method="recursion")
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """PCG64 generator for ``seed``, a non-negative Python or numpy int and not a bool."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def _count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[int, int]:
+    """Count rows whose sorted values strictly exceed per-stage thresholds.
+
+    Each row is sorted once and served both ascending and descending; stage
+    ``k`` compares the k-th served value against ``thresholds[k]``, and a row
+    counts only if every comparison is strictly greater.  Returns the counts
+    for both orders as ``(ascending, descending)``.
+
+    Ascending service compares only the stages from the first whose
+    threshold is at or above the smallest draw, found by binary search: a
+    stage before it passes in every row.  Descending service serves each
+    row's smallest value last, against the largest threshold, so that one
+    comparison decides the row.  An infinite threshold fails every row.
+
+    Precondition, not checked here: ``draws`` is a float64 array of shape
+    ``(rows, n)`` and ``thresholds`` a non-decreasing one of shape ``(n,)``,
+    neither holding NaN, as ``positivity_report_montecarlo`` passes them.
+    """
+    s = np.sort(draws, axis=1)
+    first = int(np.searchsorted(thresholds, s[:, :1].min(initial=np.inf)))
+    # np.all folds a short row slowly, so lay the comparison out stage by stage
+    ascending = np.greater(s[:, first:], thresholds[first:], order="F").all(axis=1)
+    # one column: empty for zero stages, which every row then clears
+    descending = (s[:, :1] > thresholds[-1:]).all(axis=1)
+    return int(ascending.sum()), int(descending.sum())
+
+
 def positivity_report_montecarlo(
     model: PopulationModel, trials: int, seed: int
 ) -> PositivityReport:
@@ -192,18 +230,19 @@ def positivity_report_montecarlo(
     one row), so memory stays bounded whatever ``n`` and ``trials`` are.
     Bit-reproducible for a given ``(model, trials, seed)``: draws come from
     a PCG64 generator seeded explicitly, consumed in a fixed order
-    regardless of blocking.
+    regardless of blocking.  ``trials`` must be a positive integer and
+    ``seed`` a non-negative one; neither may be a bool.
     """
     _check_positive_int(trials, "trials")
+    rng = _seeded_rng(seed)
     thresholds = _linear_drops(model.decay_step, model.n)
-    rng = np.random.default_rng(seed)
     ascending = descending = 0
     block = max(1, _MC_ELEMENTS // model.n)
     remaining = trials
     while remaining > 0:
         rows = min(remaining, block)
         draws = rng.uniform(model.low, model.high, size=(rows, model.n))
-        up, down = _kernels.count_positive_trials(draws, thresholds)
+        up, down = _count_positive_trials(draws, thresholds)
         ascending += up
         descending += down
         remaining -= rows

@@ -171,9 +171,14 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     model = _population(args)
     outs = args.out or []
-    for out in outs:  # every path is checked before any file is written
-        if Path(out).suffix.lower() not in (".csv", ".svg"):
+    # before any file is written, each path must end in .csv or .svg, name
+    # no directory and sit in a directory that exists
+    for out in outs:
+        path = Path(out)
+        if path.suffix.lower() not in (".csv", ".svg"):
             raise ValueError(f"--out path must end in .csv or .svg, got {out!r}")
+        if path.is_dir() or not path.parent.is_dir():
+            raise ValueError(f"--out path must name a file in an existing directory, got {out!r}")
     matrix = generate_figure_matrix(model, args.seed)
     for out in outs:
         path = Path(out)

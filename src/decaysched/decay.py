@@ -82,27 +82,6 @@ class MultiplicativeDecay:
 _DecaySpec = AdditiveDecay | MultiplicativeDecay
 
 
-def _as_permutation(order, n: int) -> np.ndarray:
-    """Validate ``order`` as a permutation of ``0..n-1``.
-
-    Entries may be integers, integral floats or Python objects such as
-    integers beyond int64.  numpy compares all of these with the int64
-    range exactly, so the comparison runs on the entries as given and the
-    cast to int64 follows it.
-    """
-    arr = np.asarray(order)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("order must be a non-empty one-dimensional sequence")
-    if arr.size != n:
-        raise ValueError(f"order has length {arr.size}, expected {n}")
-    if arr.dtype.kind not in "iufO" or (arr.dtype.kind == "f" and (np.trunc(arr) != arr).any()):
-        raise ValueError("order must contain integers")
-    if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-        typed = np.asarray(order, dtype=object).tolist()
-        raise ValueError(f"order {typed} is not a permutation of 0..{arr.size - 1}")
-    return arr.astype(np.int64)
-
-
 def _decayed(p0: np.ndarray, stage: np.ndarray, decay: _DecaySpec) -> np.ndarray:
     """Value at 0-based ``stage`` of an item with initial probability ``p0``.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import PopulationModel
+from .analysis import PopulationModel, _seeded_rng
 from .decay import AdditiveDecay, _decayed
 from .distribution import _frozen
 
@@ -55,9 +55,10 @@ def generate_figure_matrix(model: PopulationModel, seed: int) -> FigureMatrix:
     """Draw the model's n initial probabilities and tabulate decayed values.
 
     The draw is sorted ascending, so the weakest item sits in column 0, and
-    each draw lies in [low, high].  Deterministic for a given seed.
+    each draw lies in [low, high].  Deterministic for a given seed, which
+    must be a non-negative integer and not a bool.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     draws = np.sort(rng.uniform(model.low, model.high, size=model.n))
     return FigureMatrix(draws, model.decay_step)
 

@@ -5,19 +5,29 @@ arranged in service order, then reads off the success-count metrics.
 Optimization is either exhaustive (exact, n <= ``BRUTE_FORCE_MAX_ITEMS``) or
 by the sorted-order strategies that provably achieve the optimum for each
 decay-law/objective combination.
+
+The exhaustive search is a dynamic programme over subsets of items (Held &
+Karp 1962, *J. SIAM* 10(1):196-210): O(n^2 * 2^n) work instead of the
+O(n * n!) of enumerating every order.  It folds the table stage by stage,
+exactly as an enumeration would, and both ``x + c`` and ``x * c`` (for
+``c >= 0``) round monotonically in ``x``, so the best fold of a subset
+extends to the best fold of its supersets and the optimum is bit-identical
+to the enumeration's.  At n = 6..9 the time goes to numpy's fixed cost
+per call, so the arrays are laid out for as few calls as possible (see
+``_best_folds``).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
 
-from . import _kernels
-from .decay import AdditiveDecay, MultiplicativeDecay, _as_permutation, _decayed, _DecaySpec
+from .decay import AdditiveDecay, MultiplicativeDecay, _decayed, _DecaySpec
 from .distribution import SuccessCountPmf, _as_probability_vector, _convolved_pmf, _frozen
 
 __all__ = [
@@ -101,6 +111,27 @@ def stage_item_matrix(p0, decay: _DecaySpec) -> np.ndarray:
     return table
 
 
+def _as_permutation(order, n: int) -> np.ndarray:
+    """Validate ``order`` as a permutation of ``0..n-1``.
+
+    Entries may be integers, integral floats or Python objects such as
+    integers beyond int64.  numpy compares all of these with the int64
+    range exactly, so the comparison runs on the entries as given and the
+    cast to int64 follows it.
+    """
+    arr = np.asarray(order)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("order must be a non-empty one-dimensional sequence")
+    if arr.size != n:
+        raise ValueError(f"order has length {arr.size}, expected {n}")
+    if arr.dtype.kind not in "iufO" or (arr.dtype.kind == "f" and (np.trunc(arr) != arr).any()):
+        raise ValueError("order must contain integers")
+    if not np.array_equal(np.sort(arr), np.arange(arr.size)):
+        typed = np.asarray(order, dtype=object).tolist()
+        raise ValueError(f"order {typed} is not a permutation of 0..{arr.size - 1}")
+    return arr.astype(np.int64)
+
+
 def evaluate_order(p0, order, decay: _DecaySpec) -> ScheduleMetrics:
     """Metrics for serving the items of ``p0`` in the order given by ``order``.
 
@@ -113,15 +144,114 @@ def evaluate_order(p0, order, decay: _DecaySpec) -> ScheduleMetrics:
     return ScheduleMetrics(_decayed(pv.probs[perm], np.arange(pv.n), decay))
 
 
+@lru_cache(maxsize=None)
+def _subset_layers(k: int) -> tuple[tuple[slice, np.ndarray, np.ndarray], ...]:
+    """Subsets of k items in popcount order, one entry per size 1..k.
+
+    Position ``p`` holds the ``p``-th bitmask when they are ordered by
+    size, then by value: the empty set is at 0 and the full set at
+    ``2^k - 1``.  Each entry is ``(layer, items, preds)``: the slice of
+    positions of the L subsets of that size, the items in each subset and
+    the position of the subset without that item.  ``items`` and ``preds``
+    have shape ``(size, L)``: column ``c`` lists subset ``c``'s items in
+    ascending order, so a layer gathers and reduces over its leading axis.
+    """
+    masks = np.arange(1 << k, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(k)) & 1
+    sizes = bits.sum(axis=1)
+    ordered = np.argsort(sizes, kind="stable")
+    position = np.empty_like(ordered)
+    position[ordered] = masks
+    layers = []
+    begin = 1
+    for size in range(1, k + 1):
+        end = begin + math.comb(k, size)
+        subsets = ordered[begin:end]
+        items = np.nonzero(bits[subsets])[1].reshape(subsets.size, size).T.copy()
+        layers.append((slice(begin, end), items, position[subsets ^ (1 << items)]))
+        begin = end
+    return tuple(layers)
+
+
+@lru_cache(maxsize=None)
+def _without_each(m: int) -> np.ndarray:
+    """Row ``r`` holds the positions ``0..m-1`` without ``r``, ascending."""
+    return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+
+
+def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.ndarray:
+    """Best fold of each table in a batch over every order of its k items.
+
+    ``tables`` is item-major, shape ``(k, k, batch)``: entry ``[i, j, b]`` is
+    the value in table ``b`` of item ``j`` at stage ``i``; ``start`` holds
+    each table's value before the first stage.  Returns the ``batch`` maxima.
+
+    The batch runs along the last axis.  The best folds are
+    ``(2^k, batch)``, one row per subset in ``_subset_layers`` order, so a
+    layer of L subsets of one size is a contiguous slice of rows.  It
+    gathers ``(size, L, batch)`` entries and prior folds with ``take``,
+    folds the entries into the priors in place and reduces their maximum
+    over the leading axis, the last item served, straight into its slice;
+    numpy reduces a short trailing axis far more slowly.
+    """
+    k, _, batch = tables.shape
+    best = np.empty((1 << k, batch))
+    best[0] = start
+    fold = np.multiply if use_product else np.add
+    for stage, (layer, items, preds) in enumerate(_subset_layers(k)):
+        prior = best.take(preds, axis=0)
+        fold(prior, tables[stage].take(items, axis=0), out=prior)
+        np.maximum.reduce(prior, axis=0, out=best[layer])
+    return best[-1]
+
+
+def _best_permutation(table: np.ndarray, use_product: bool) -> tuple[float, np.ndarray]:
+    """Maximize sum (or product) of one entry per row of an n-by-n value table.
+
+    Entry ``(i, j)`` is item ``j``'s value at stage ``i``.  Values are
+    folded stage by stage, as an enumeration of all n! orders would fold
+    them, and ties resolve to the lexicographically smallest permutation.
+    Returns ``(best_value, best_permutation)``.
+
+    Precondition, not checked here: ``table`` is a non-empty, square
+    float64 array with no negative or NaN entry, as ``brute_force_optimal``
+    builds it with ``stage_item_matrix``.  The search relies on it: ``x * c``
+    rounds monotonically in ``x`` only for ``c >= 0``, and a NaN optimum
+    equals no fold.
+
+    The order is built one stage at a time.  Each stage runs one batched
+    subset search, from every remaining item's fold onto the actual prefix
+    value, over the items left after it, and serves the smallest item that
+    reaches the optimum.  The first stage's searches cover every order, so
+    their maximum is the optimum; no separate pass finds it.
+    """
+    n = table.shape[0]
+    value = 1.0 if use_product else 0.0
+    remaining = np.arange(n, dtype=np.int64)
+    perm = np.empty(n, dtype=np.int64)
+    for stage in range(n):
+        # fold from the actual prefix value, which may sit below the best
+        # fold of the prefix set
+        entries = table[stage, remaining]
+        starts = entries * value if use_product else entries + value
+        # row r: the items left after serving remaining[r] now
+        rest = remaining[_without_each(remaining.size)]
+        folds = _best_folds(table[stage + 1 :][:, rest.T], starts, use_product)
+        if stage == 0:
+            target = folds.max()
+        pick = int((folds == target).argmax())
+        perm[stage] = remaining[pick]
+        remaining = rest[pick]
+        value = starts[pick]
+    return float(target), perm
+
+
 def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np.ndarray, float]:
     """Exactly maximize the objective over all n! service orders.
 
-    Returns ``(order, value)``.  The search builds the order one stage at a
-    time, with one dynamic programme over subsets of the remaining items per
-    stage (see ``_kernels.best_permutation``); the first stage's pass gives
-    the optimum.  Its value is bit-identical to enumerating every order, and
-    ties resolve to the lexicographically smallest order.  Limited to
-    n <= ``BRUTE_FORCE_MAX_ITEMS``.
+    Returns ``(order, value)``, found by ``_best_permutation``.  The value is
+    bit-identical to enumerating every order, and ties resolve to the
+    lexicographically smallest order.  Limited to n <= ``BRUTE_FORCE_MAX_ITEMS``.
     """
     pv = _as_probability_vector(p0)
     objective = Objective(objective)
@@ -130,7 +260,7 @@ def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np
             f"exhaustive search is limited to n <= {BRUTE_FORCE_MAX_ITEMS} items, got n = {pv.n}"
         )
     table = stage_item_matrix(pv, decay)
-    value, perm = _kernels.best_permutation(
+    value, perm = _best_permutation(
         table, use_product=objective is Objective.PROB_ALL_SUCCESS
     )
     return perm, float(value)

@@ -59,28 +59,28 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the kernels and the recursion
     Mutant(
-        "_kernels.py",
+        "analysis.py",
         "first = int(np.searchsorted(thresholds, s[:, :1].min(initial=np.inf)))",
         'first = int(np.searchsorted(thresholds, s[:, :1].min(initial=np.inf), side="right"))',
         "killed",
         "a stage whose threshold equals the smallest draw is skipped",
     ),
     Mutant(
-        "_kernels.py",
+        "analysis.py",
         "descending = (s[:, :1] > thresholds[-1:])",
         "descending = (s[:, :1] >= thresholds[-1:])",
         "killed",
         "strongest first: a smallest draw equal to the last threshold counts as positive",
     ),
     Mutant(
-        "_kernels.py",
+        "analysis.py",
         "descending = (s[:, :1] > thresholds[-1:])",
         "descending = (s[:, :1] > thresholds[:1])",
         "killed",
         "strongest first: the smallest draw faces the first threshold, not the last",
     ),
     Mutant(
-        "_kernels.py",
+        "analysis.py",
         "ascending = np.greater(s[:, first:]",
         "ascending = np.greater_equal(s[:, first:]",
         "killed",
@@ -94,35 +94,35 @@ MUTANTS = (
         "a threshold equal to low counts as active",
     ),
     Mutant(
-        "_kernels.py",
+        "scheduler.py",
         "pick = int((folds == target).argmax())",
         "pick = int(folds.size - 1 - (folds[::-1] == target).argmax())",
         "killed",
         "ties go to the largest item instead of the smallest",
     ),
     Mutant(
-        "_kernels.py",
+        "scheduler.py",
         "begin = 1",
         "begin = 0",
         "killed",
         "the size-1 layer's slice starts on the empty set's position",
     ),
     Mutant(
-        "_kernels.py",
+        "scheduler.py",
         "position[subsets ^ (1 << items)]",
         "subsets ^ (1 << items)",
         "killed",
         "preds hold raw bitmasks instead of popcount positions",
     ),
     Mutant(
-        "_kernels.py",
+        "scheduler.py",
         "np.maximum.reduce(prior, axis=0",
         "np.minimum.reduce(prior, axis=0",
         "killed",
         "each subset keeps its worst fold",
     ),
     Mutant(
-        "_kernels.py",
+        "scheduler.py",
         'np.argsort(sizes, kind="stable")',
         "np.argsort(sizes)",
         "killed",

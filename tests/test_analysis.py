@@ -26,7 +26,7 @@ from decaysched import (
     positivity_report,
     positivity_report_montecarlo,
 )
-from decaysched._kernels import count_positive_trials
+from decaysched.analysis import _count_positive_trials
 
 # 13 items drawn on (0.5, 1) losing 0.06 per stage
 REFERENCE_MODEL = PopulationModel(n=13, low=0.5, high=1.0, decay_step=0.06)
@@ -493,6 +493,17 @@ class TestMonteCarlo:
         report = positivity_report_montecarlo(REFERENCE_MODEL, np.int64(1_000), 0)
         assert report == positivity_report_montecarlo(REFERENCE_MODEL, 1_000, 0)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.0, -1, np.int64(-1), "1"])
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
+        # None would draw fresh OS entropy, so the report could not be reproduced
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got "):
+            positivity_report_montecarlo(REFERENCE_MODEL, 1_000, seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        report = positivity_report_montecarlo(REFERENCE_MODEL, 1_000, 7)
+        assert positivity_report_montecarlo(REFERENCE_MODEL, 1_000, np.int64(7)) == report
+        assert positivity_report_montecarlo(REFERENCE_MODEL, 1_000, np.uint8(7)) == report
+
     # PositivityReport checks nothing, so this is the simulated report's only gate
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(any_population_models(max_n=50), st.integers(1, 2_000), st.integers(0, 2**32))
@@ -542,7 +553,7 @@ class TestPositivityReport:
         report = positivity_report_montecarlo(model, trials, 77)
         draws = np.random.default_rng(77).uniform(model.low, model.high, size=(trials, model.n))
         thresholds = AdditiveDecay(model.decay_step, model.n).decay_per_stage
-        ascending, descending = count_positive_trials(draws, thresholds)
+        ascending, descending = _count_positive_trials(draws, thresholds)
         p_w, p_s = ascending / trials, descending / trials
         assert report.method == "montecarlo"
         assert report.prob_weakest_first_positive == p_w

@@ -339,6 +339,18 @@ class TestFigureMatrix:
         assert matrix.initial_probabilities.tolist() == [0.2, 0.9]
         assert not matrix.initial_probabilities.flags.writeable
 
+    @pytest.mark.parametrize("seed", [None, True, 1.0, -1, np.int64(-1), "1"])
+    def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
+        # None would draw fresh OS entropy, so the figure could not be reproduced
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got "):
+            generate_figure_matrix(figure_model(4), seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        matrix = generate_figure_matrix(figure_model(4), 9)
+        for seed in (np.int64(9), np.uint8(9)):
+            same = generate_figure_matrix(figure_model(4), seed)
+            np.testing.assert_array_equal(same.cells, matrix.cells)
+
     def test_generation_is_deterministic_per_seed(self):
         a = generate_figure_matrix(figure_model(6), seed=9)
         b = generate_figure_matrix(figure_model(6), seed=9)
@@ -796,6 +808,18 @@ class TestCliFigure:
         assert code == 2
         assert "b.txt" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["missing/b.svg", "taken.svg"], ids=["no-parent", "a-directory"])
+    def test_checks_every_out_directory_before_writing_any(self, tmp_path, capsys, bad):
+        # a.csv would be written first; a directory named like an output is not a file
+        (tmp_path / "taken.svg").mkdir()
+        argv = ["figure", "--n", "3", "--out", str(tmp_path / "a.csv")]
+        argv += ["--out", str(tmp_path / bad)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and bad in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken.svg"]
 
     def test_rejects_bad_bounds(self, capsys):
         code, _, err = run_cli(["figure", "--low", "1", "--high", "0.5"], capsys)

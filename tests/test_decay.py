@@ -9,7 +9,8 @@ from decaysched import (
     ProbabilityVector,
     stage_probabilities,
 )
-from decaysched.decay import _as_permutation, _linear_drops
+from decaysched.decay import _linear_drops
+from decaysched.scheduler import _as_permutation
 
 probability_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=10
@@ -55,7 +56,7 @@ class TestLinearDecaySequence:
     def test_overflow_is_left_to_callers_without_a_warning(self):
         assert AdditiveDecay(1e308, 3).decay_per_stage.tolist() == [0.0, 1e308, np.inf]
 
-    # positivity_report and _kernels.count_positive_trials, through
+    # positivity_report and analysis._count_positive_trials, through
     # positivity_report_montecarlo, rely on this; nothing checks it at run time
     @settings(max_examples=200, derandomize=True)
     @given(st.floats(0.0, 1.7976931348623157e308), st.integers(1, 500))

@@ -10,7 +10,8 @@ from oracles import best_order_by_enumeration
 
 import decaysched
 from decaysched import AdditiveDecay, stage_item_matrix
-from decaysched._kernels import _subset_layers, best_permutation, count_positive_trials
+from decaysched.analysis import _count_positive_trials
+from decaysched.scheduler import _best_permutation, _subset_layers
 
 
 @st.composite
@@ -33,7 +34,7 @@ class TestBestPermutation:
     @settings(max_examples=150, deadline=None)
     @given(tie_heavy_tables(), st.booleans())
     def test_property_matches_enumeration_bit_for_bit(self, table, use_product):
-        value, perm = best_permutation(table, use_product)
+        value, perm = _best_permutation(table, use_product)
         ref_value, ref_perm = best_order_by_enumeration(table, use_product)
         assert value == ref_value
         np.testing.assert_array_equal(perm, ref_perm)
@@ -48,7 +49,7 @@ class TestBestPermutation:
         # rounding alone picks the winner
         table = stage_item_matrix(p0, AdditiveDecay.linear(rate, 8))
         assert table.min() > 0.0
-        value, perm = best_permutation(table, use_product=False)
+        value, perm = _best_permutation(table, use_product=False)
         ref_value, ref_perm = best_order_by_enumeration(table, use_product=False)
         assert value == ref_value
         np.testing.assert_array_equal(perm, ref_perm)
@@ -59,7 +60,7 @@ class TestBestPermutation:
         # optimum 1.6, so a rebuild that folds on from the best prefix value
         # returns (0, 1, 2, 3), which actually scores 1.5999999999999999.
         table = stage_item_matrix([0.6, 0.3, 0.3, 1.0], AdditiveDecay.linear(0.1, 4))
-        value, perm = best_permutation(table, use_product=False)
+        value, perm = _best_permutation(table, use_product=False)
         assert (value, perm.tolist()) == (1.6, [0, 1, 3, 2])
         assert best_order_by_enumeration(table, use_product=False)[1].tolist() == [0, 1, 3, 2]
 
@@ -68,7 +69,7 @@ class TestBestPermutation:
         rng = np.random.default_rng(99)
         for n in (1, 2, 3, 5, 6):
             table = rng.uniform(0.0, 1.0, size=(n, n))
-            value, perm = best_permutation(table, use_product)
+            value, perm = _best_permutation(table, use_product)
             ref_value, ref_perm = best_order_by_enumeration(table, use_product)
             assert value == ref_value
             np.testing.assert_array_equal(perm, ref_perm)
@@ -77,11 +78,11 @@ class TestBestPermutation:
     def test_ties_resolve_to_lexicographically_smallest(self, use_product):
         # constant rows make every permutation score identically
         table = np.tile(np.linspace(0.2, 0.8, 4)[:, None], (1, 4))
-        _, perm = best_permutation(table, use_product)
+        _, perm = _best_permutation(table, use_product)
         np.testing.assert_array_equal(perm, np.arange(4))
 
     def test_single_item(self):
-        value, perm = best_permutation(np.array([[0.3]]), use_product=True)
+        value, perm = _best_permutation(np.array([[0.3]]), use_product=True)
         assert value == 0.3
         np.testing.assert_array_equal(perm, [0])
 
@@ -89,7 +90,7 @@ class TestBestPermutation:
         # identity permutation is strictly best by construction
         table = np.full((3, 3), 0.1)
         table[np.arange(3), np.arange(3)] = 0.9
-        value, perm = best_permutation(table, use_product=False)
+        value, perm = _best_permutation(table, use_product=False)
         np.testing.assert_array_equal(perm, [0, 1, 2])
         assert value == pytest.approx(2.7, abs=1e-12)
 
@@ -163,13 +164,13 @@ class TestCountPositiveTrials:
     @given(counting_inputs())
     def test_property_matches_row_by_row_reference(self, inputs):
         draws, thresholds = inputs
-        assert count_positive_trials(draws, thresholds) == count_reference(draws, thresholds)
+        assert _count_positive_trials(draws, thresholds) == count_reference(draws, thresholds)
 
     def test_zero_rows(self):
-        assert count_positive_trials(np.zeros((0, 3)), np.zeros(3)) == (0, 0)
+        assert _count_positive_trials(np.zeros((0, 3)), np.zeros(3)) == (0, 0)
 
     def test_zero_stages_count_every_row(self):
-        assert count_positive_trials(np.zeros((4, 0)), np.zeros(0)) == (4, 4)
+        assert _count_positive_trials(np.zeros((4, 0)), np.zeros(0)) == (4, 4)
 
     def test_hand_checked_rows_ascending(self):
         draws = np.array(
@@ -181,7 +182,7 @@ class TestCountPositiveTrials:
             ]
         )
         thresholds = np.array([0.5, 0.65])
-        assert count_positive_trials(draws, thresholds)[0] == 3
+        assert _count_positive_trials(draws, thresholds)[0] == 3
 
     def test_hand_checked_rows_descending(self):
         draws = np.array(
@@ -191,46 +192,42 @@ class TestCountPositiveTrials:
             ]
         )
         thresholds = np.array([0.5, 0.65])
-        assert count_positive_trials(draws, thresholds)[1] == 1
+        assert _count_positive_trials(draws, thresholds)[1] == 1
 
     def test_threshold_equality_does_not_count(self):
         # comparisons are strict: landing exactly on a threshold fails
         draws = np.array([[0.5, 0.8]])
-        assert count_positive_trials(draws, np.array([0.5, 0.6]))[0] == 0
-        assert count_positive_trials(draws, np.array([0.4, 0.8]))[0] == 0
+        assert _count_positive_trials(draws, np.array([0.5, 0.6]))[0] == 0
+        assert _count_positive_trials(draws, np.array([0.4, 0.8]))[0] == 0
 
     def test_zero_thresholds_count_everything_positive(self):
         rng = np.random.default_rng(5)
         draws = rng.uniform(0.1, 1.0, size=(50, 4))
-        assert count_positive_trials(draws, np.zeros(4))[0] == 50
+        assert _count_positive_trials(draws, np.zeros(4))[0] == 50
 
 
 def test_each_kernel_is_reached_only_from_its_one_caller():
-    # the kernels check none of their input, so only the module that builds
-    # a kernel's input may call it: scheduler.brute_force_optimal builds the
-    # table, analysis.positivity_report_montecarlo the draws and thresholds
+    # the kernels check none of their input, so only the function that builds
+    # a kernel's input may name it: brute_force_optimal builds the table, and
+    # positivity_report_montecarlo the draws and thresholds; an import or an
+    # alias of a kernel counts as naming it
+    kernels = {"_best_permutation", "_count_positive_trials"}
     used = {}
     for path in Path(decaysched.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        names, aliases = set(), set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                if (node.module or "").endswith("_kernels"):
-                    names |= {alias.name for alias in node.names}
-                aliases |= {alias.asname or alias.name for alias in node.names
-                            if alias.name == "_kernels"}
-            elif isinstance(node, ast.Import):
-                names |= {alias.name for alias in node.names if "_kernels" in alias.name}
-        names |= {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in aliases
-        }
-        if names or aliases:
-            used[path.name] = names
+        for statement in ast.parse(path.read_text()).body:
+            owner = getattr(statement, "name", "<module>")
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rsplit(".", 1)[-1]
+                else:
+                    continue
+                if name in kernels:
+                    used.setdefault(name, set()).add((path.name, owner))
     assert used == {
-        "scheduler.py": {"best_permutation"},
-        "analysis.py": {"count_positive_trials"},
+        "_best_permutation": {("scheduler.py", "brute_force_optimal")},
+        "_count_positive_trials": {("analysis.py", "positivity_report_montecarlo")},
     }
