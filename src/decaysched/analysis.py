@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _check_positive_int, _linear_drops
+from .decay import _check_positive_int, _linear_drops, _satisfies
 
 __all__ = [
     "PopulationModel",
@@ -62,13 +62,11 @@ class PopulationModel:
 
     def __post_init__(self) -> None:
         _check_positive_int(self.n, "n")
-        if isinstance(self.low, bool) or isinstance(self.high, bool) or not (
-            0.0 <= self.low < self.high <= 1.0
-        ):
+        if not _satisfies(lambda low, high: 0.0 <= low < high <= 1.0, self.low, self.high):
             raise ValueError(
                 f"bounds must satisfy 0 <= low < high <= 1, got low={self.low} high={self.high}"
             )
-        if isinstance(self.decay_step, bool) or not 0.0 <= self.decay_step < math.inf:
+        if not _satisfies(lambda step: 0.0 <= step < math.inf, self.decay_step):
             raise ValueError(f"decay_step must be a finite number >= 0, got {self.decay_step}")
 
 

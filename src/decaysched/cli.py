@@ -191,8 +191,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             {
                 **dataclasses.asdict(model),
                 "seed": args.seed,
-                "initial_probabilities": matrix.initial_probabilities.tolist(),
-                "cells": [[float(v) for v in row] for row in matrix.cells],
+                "initial_probabilities": matrix[0].tolist(),
+                "cells": matrix.tolist(),
             },
             args.format,
         )

@@ -13,15 +13,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import _as_probability_vector, _frozen
-
-__all__ = ["AdditiveDecay", "MultiplicativeDecay", "stage_probabilities"]
+__all__ = ["AdditiveDecay", "MultiplicativeDecay"]
 
 
 def _check_positive_int(value, name: str) -> None:
     """Raise unless ``value`` is a positive Python or numpy integer; a bool is not one."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
+def _satisfies(check, *values) -> bool:
+    """Whether ``check(*values)`` holds.  It never does for a bool, nor for a
+    value that the check cannot reduce to one truth value, such as a
+    string, None or an array."""
+    if any(isinstance(value, bool) for value in values):
+        return False
+    try:
+        return bool(check(*values))
+    except (TypeError, ValueError):
+        return False
 
 
 def _linear_drops(rate: float, n: int) -> np.ndarray:
@@ -51,7 +61,7 @@ class AdditiveDecay:
     decay_per_stage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.rate, bool) or not 0.0 <= self.rate < np.inf:
+        if not _satisfies(lambda rate: 0.0 <= rate < np.inf, self.rate):
             raise ValueError(f"decay rate must be a finite number >= 0, got {self.rate}")
         _check_positive_int(self.n, "n")
         drops = _linear_drops(self.rate, self.n)
@@ -72,7 +82,7 @@ class MultiplicativeDecay:
     factor: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.factor < 1.0):
+        if not _satisfies(lambda factor: 0.0 < factor < 1.0, self.factor):
             raise ValueError(
                 f"multiplicative factor must lie strictly between 0 and 1, got {self.factor}"
             )
@@ -96,14 +106,3 @@ def _decayed(p0: np.ndarray, stage: np.ndarray, decay: _DecaySpec) -> np.ndarray
         return p0 * decay.factor ** stage
     raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
 
-
-def stage_probabilities(p0_in_service_order, decay: _DecaySpec) -> np.ndarray:
-    """Apply a decay law to probabilities already arranged in service order.
-
-    Returns a read-only float64 array with one value per item, each in
-    [0, 1].  The multiplicative law's stage factors multiply to
-    ``factor**(n*(n-1)/2)`` whatever the order, which is why the all-success
-    probability is order-invariant under that law.
-    """
-    pv = _as_probability_vector(p0_in_service_order)
-    return _frozen(_decayed(pv.probs, np.arange(pv.n), decay))

@@ -274,7 +274,8 @@ def recommended_order(decay: _DecaySpec, objective: Objective) -> OrderStrategy:
     and is also safe when no item is ever clamped to zero, where the expected
     count is the same for every order.  Multiplicative decay: descending
     maximizes the expected count, while the all-success probability is the
-    same for every order ('any').
+    same for every order ('any'): its stage factors multiply to
+    ``factor**(n*(n-1)/2)`` whatever the order.
     """
     objective = Objective(objective)
     if isinstance(decay, MultiplicativeDecay):

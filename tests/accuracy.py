@@ -1,7 +1,7 @@
 """The package's stated accuracy claims, checked where tier-1 cannot afford to.
 
-Run by hand, not by the test suite (about 40 s, most of it in Steck's
-determinant at n = 600):
+Run by hand, not by the test suite (about 90 s: 40 s in Steck's
+determinant at n = 600, 35 s in the two sweeps at n = 10**4):
 
     python3 tests/accuracy.py
 
@@ -70,6 +70,33 @@ def _low_decrease() -> tuple[float, str]:
     return max(before - after, 0.0), f"{before!r} -> {after!r}"
 
 
+def _sweep(field: str, n: int, seed: int, spacing: float, points: int):
+    """Worst monotonicity break of weakest-first along ``field``, over ``points`` values.
+
+    The model is drawn as ROADMAP item 5 describes: high = 1, the step
+    uniform in [0.5/n, 1/n] and low uniform in [0, 0.05].  The swept field
+    then takes ``points`` values ``spacing`` apart, ending at 1 for
+    ``high`` and starting at the drawn value otherwise.  Weakest-first must
+    not decrease in ``low`` or ``high``, nor increase in ``decay_step``;
+    the error is the largest step against that direction.
+    """
+
+    def measure() -> tuple[float, str]:
+        rng = np.random.default_rng(seed)
+        step, low = rng.uniform(0.5, 1.0) / n, rng.uniform(0.0, 0.05)
+        drawn = {"n": n, "low": low, "high": 1.0, "decay_step": step}
+        start = 1.0 - (points - 1) * spacing if field == "high" else drawn[field]
+        values = []
+        for k in range(points):
+            values.append(_weakest_first(PopulationModel(**{**drawn, field: start + k * spacing})))
+        sign = -1.0 if field == "decay_step" else 1.0
+        breaks = [sign * (before - after) for before, after in zip(values, values[1:])]
+        where = f"n={n} seed={seed} {min(values)!r}..{max(values)!r}"
+        return max(max(breaks), 0.0), where
+
+    return measure
+
+
 def _pmf_sum_error() -> tuple[float, str]:
     """Worst distance from 1 of the exact sum of the pmf's entries."""
     errors = []
@@ -91,6 +118,45 @@ CLAIMS = (
         "weakest-first does not decrease in low, n = 3000",
         0.0,
         _low_decrease,
+        "fails",  # ROADMAP item 5
+    ),
+    # fixed sweeps: their seeds and spacings were set before their first
+    # run, whose verdicts are the expected ones; a decay_step 1e-12 apart
+    # moves the last threshold by n * 1e-12, near the 1e-9 of the others
+    Claim(
+        "weakest-first does not decrease in low, n = 3000, sweep 1",
+        0.0,
+        _sweep("low", 3000, seed=1, spacing=1e-9, points=9),
+        "fails",  # ROADMAP item 5
+    ),
+    Claim(
+        "weakest-first does not decrease in low, n = 3000, sweep 2",
+        0.0,
+        _sweep("low", 3000, seed=2, spacing=1e-9, points=9),
+        "holds",
+    ),
+    Claim(
+        "weakest-first does not decrease in high, n = 3000",
+        0.0,
+        _sweep("high", 3000, seed=3, spacing=1e-9, points=9),
+        "fails",  # ROADMAP item 5
+    ),
+    Claim(
+        "weakest-first does not decrease in high, n = 10**4",
+        0.0,
+        _sweep("high", 10**4, seed=4, spacing=1e-9, points=5),
+        "fails",  # ROADMAP item 5
+    ),
+    Claim(
+        "weakest-first does not increase in decay_step, n = 3000",
+        0.0,
+        _sweep("decay_step", 3000, seed=5, spacing=1e-12, points=9),
+        "fails",  # ROADMAP item 5
+    ),
+    Claim(
+        "weakest-first does not increase in decay_step, n = 10**4",
+        0.0,
+        _sweep("decay_step", 10**4, seed=6, spacing=1e-12, points=5),
         "fails",  # ROADMAP item 5
     ),
     Claim(

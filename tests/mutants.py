@@ -35,7 +35,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 
 # the goldens, then the kernels and the modules whose results are records;
-# the figure's record tests live with the CLI's, in one class
+# the figure's tests live with the CLI's, in one class
 GATES = (
     "tests/test_cli_golden.py",
     "tests/test_library_golden.py",
@@ -230,10 +230,10 @@ MUTANTS = (
     ),
     Mutant(
         "decay.py",
-        "return _frozen(_decayed(pv.probs, np.arange(pv.n), decay))",
-        "return _decayed(pv.probs, np.arange(pv.n), decay)",
+        "if any(isinstance(value, bool) for value in values):",
+        "if False:",
         "killed",
-        "stage_probabilities returns a writeable array",
+        "a bool passes the range checks as the number it stands for",
     ),
     Mutant(
         "scheduler.py",
@@ -258,17 +258,10 @@ MUTANTS = (
     ),
     Mutant(
         "figure.py",
-        "p0 = _frozen(self.initial_probabilities)",
-        "p0 = np.asarray(self.initial_probabilities, dtype=np.float64)",
-        "killed",
-        "FigureMatrix no longer freezes its initial probabilities",
-    ),
-    Mutant(
-        "figure.py",
         "draws = np.sort(rng.uniform(model.low, model.high, size=model.n))",
         "draws = rng.uniform(model.low, model.high, size=model.n)",
         "killed",
-        "the draws are not sorted, which FigureMatrix no longer checks",
+        "the draws are not sorted",
     ),
 )
 

@@ -155,13 +155,13 @@ def test_criterion_7_figure_matrix_reproduction():
     ok = True
     for seed in range(20):
         matrix = generate_figure_matrix(REFERENCE_MODEL, seed)
-        p0 = matrix.initial_probabilities
+        p0 = matrix[0]
         want = np.maximum(p0[None, :] - 0.06 * np.arange(13)[:, None], 0.0)
         ok = (
             ok
-            and np.array_equal(matrix.cells, want)
-            and (np.diff(matrix.cells, axis=1) >= 0.0).all()
-            and (np.diff(matrix.cells, axis=0) <= 0.0).all()
+            and np.array_equal(matrix, want)
+            and (np.diff(matrix, axis=1) >= 0.0).all()
+            and (np.diff(matrix, axis=0) <= 0.0).all()
         )
     golden = (DATA_DIR / "figure_seed1729.csv").read_text()
     pinned = generate_figure_matrix(REFERENCE_MODEL, 1729)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from decaysched import (
     AdditiveDecay,
-    FigureMatrix,
     MultiplicativeDecay,
     Objective,
     PopulationModel,
@@ -32,7 +31,7 @@ from decaysched import (
     positivity_report,
     serialize_scenario,
     sort_order,
-    stage_probabilities,
+    stage_item_matrix,
 )
 import decaysched
 from decaysched.cli import main
@@ -264,6 +263,13 @@ class TestScenarioRoundTrip:
         doc = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": %s}}' % rate
         assert f'"rate": {rate}' in serialize_scenario(parse_scenario(doc))
 
+    def test_configs_that_compare_equal_hash_equal(self):
+        configs = {parse_scenario(SCENARIO_A), parse_scenario(SCENARIO_A)}
+        assert len(configs) == 1
+        assert hash(parse_scenario(SCENARIO_A)) == hash(configs.pop())
+        other = parse_scenario(SCENARIO_A.replace("0.9", "0.95"))
+        assert len({parse_scenario(SCENARIO_A), other}) == 2
+
     def test_scenario_config_validates_decay_length(self):
         with pytest.raises(ValueError, match="stages"):
             ScenarioConfig(ProbabilityVector(np.array([0.5, 0.5])), AdditiveDecay.linear(0.1, 3))
@@ -280,38 +286,38 @@ def figure_model(n, decay_step=0.06, low=0.5, high=1.0):
 class TestFigureMatrix:
     def test_reference_shape_and_corners(self):
         matrix = generate_figure_matrix(figure_model(13), seed=0)
-        assert matrix.cells.shape == (13, 13)
+        assert matrix.shape == (13, 13)
         # strongest item served first keeps its raw draw
-        assert 0.5 < matrix.cells[0, 12] < 1.0
-        p0 = matrix.initial_probabilities
+        assert 0.5 < matrix[0, 12] < 1.0
+        p0 = matrix[0]
         want = max(p0[0] - 0.06 * 12, 0.0)
-        assert matrix.cells[12, 0] == want
-        assert matrix.cells[12, 0] == 0.0  # weakest item after 12 stages of decay
+        assert matrix[12, 0] == want
+        assert matrix[12, 0] == 0.0  # weakest item after 12 stages of decay
 
     def test_zero_decay_repeats_first_row(self):
         matrix = generate_figure_matrix(figure_model(5, decay_step=0.0, low=0.2, high=0.8), seed=4)
         for i in range(5):
-            np.testing.assert_array_equal(matrix.cells[i], matrix.cells[0])
+            np.testing.assert_array_equal(matrix[i], matrix[0])
 
     def test_diagonal_product_equals_weakest_first_all_success(self):
         matrix = generate_figure_matrix(figure_model(7), seed=11)
-        p0 = matrix.initial_probabilities
+        p0 = matrix[0]
         decay = AdditiveDecay.linear(0.06, 7)
         metrics = evaluate_order(p0, sort_order(p0, "ascending"), decay)
-        diag = float(np.prod(np.diagonal(matrix.cells)))
+        diag = float(np.prod(np.diagonal(matrix)))
         assert diag == metrics.prob_all_success
 
     @pytest.mark.parametrize("seed", range(20))
     def test_invariants_for_many_seeds(self, seed):
         matrix = generate_figure_matrix(figure_model(13), seed=seed)
-        p0 = matrix.initial_probabilities
+        p0 = matrix[0]
         want = np.maximum(p0[None, :] - 0.06 * np.arange(13)[:, None], 0.0)
-        np.testing.assert_array_equal(matrix.cells, want)
-        assert (np.diff(matrix.cells, axis=1) >= 0.0).all()  # ascending across items
-        assert (np.diff(matrix.cells, axis=0) <= 0.0).all()  # fading across stages
+        np.testing.assert_array_equal(matrix, want)
+        assert (np.diff(matrix, axis=1) >= 0.0).all()  # ascending across items
+        assert (np.diff(matrix, axis=0) <= 0.0).all()  # fading across stages
 
-    # FigureMatrix checks nothing of what generate_figure_matrix gives it,
-    # so this property is that producer's gate
+    # nothing checks the table that generate_figure_matrix returns, so this
+    # property is its gate
     @settings(max_examples=100, derandomize=True)
     @given(
         n=st.integers(1, 30),
@@ -324,20 +330,12 @@ class TestFigureMatrix:
     def test_generated_draws_are_sorted_within_bounds(self, n, bounds, decay_step, seed):
         low, high = bounds
         matrix = generate_figure_matrix(PopulationModel(n, low, high, decay_step), seed)
-        p0 = matrix.initial_probabilities
-        assert p0.dtype == np.float64 and p0.shape == (n,)
+        p0 = matrix[0]
+        assert matrix.dtype == np.float64 and matrix.shape == (n, n)
         assert (np.diff(p0) >= 0.0).all()
         assert ((p0 >= low) & (p0 <= high)).all()
-        assert matrix.cells.shape == (n, n)
-        assert ((matrix.cells >= 0.0) & (matrix.cells <= 1.0)).all()
-        assert not p0.flags.writeable and not matrix.cells.flags.writeable
-
-    def test_record_freezes_a_copy(self):
-        source = np.array([0.2, 0.9])
-        matrix = FigureMatrix(source, 0.1)
-        source[0] = 0.0
-        assert matrix.initial_probabilities.tolist() == [0.2, 0.9]
-        assert not matrix.initial_probabilities.flags.writeable
+        assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
+        assert not matrix.flags.writeable
 
     @pytest.mark.parametrize("seed", [None, True, 1.0, -1, np.int64(-1), "1"])
     def test_rejects_seeds_that_are_not_non_negative_integers(self, seed):
@@ -349,12 +347,12 @@ class TestFigureMatrix:
         matrix = generate_figure_matrix(figure_model(4), 9)
         for seed in (np.int64(9), np.uint8(9)):
             same = generate_figure_matrix(figure_model(4), seed)
-            np.testing.assert_array_equal(same.cells, matrix.cells)
+            np.testing.assert_array_equal(same, matrix)
 
     def test_generation_is_deterministic_per_seed(self):
         a = generate_figure_matrix(figure_model(6), seed=9)
         b = generate_figure_matrix(figure_model(6), seed=9)
-        np.testing.assert_array_equal(a.cells, b.cells)
+        np.testing.assert_array_equal(a, b)
 
     def test_invalid_parameters(self):
         # the population model checks the figure's parameters once
@@ -366,15 +364,12 @@ class TestFigureMatrix:
             figure_model(0, decay_step=0.1)
         with pytest.raises(ValueError, match=r"decay_step must be a finite number >= 0, got -0\.1"):
             figure_model(3, decay_step=-0.1)
-        for step in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="decay rate must be a finite number >= 0"):
-                FigureMatrix(np.array([0.2, 0.9]), step)
 
 
 class TestFigureRendering:
     def hand_matrix(self):
         # cells [[0.25, 0.75], [0.0, 0.25]]
-        return FigureMatrix(np.array([0.25, 0.75]), 0.5)
+        return stage_item_matrix([0.25, 0.75], AdditiveDecay(0.5, 2))
 
     def test_csv_fixed_precision(self):
         assert figure_csv(self.hand_matrix()) == "0.250000,0.750000\n0.000000,0.250000\n"
@@ -584,7 +579,7 @@ class TestCliOptimize:
         payload = json.loads(out)
         assert payload["strategy"] == "any"
         assert payload["order"] == [0, 1, 2]
-        want = float(np.prod(stage_probabilities([0.9, 0.5, 0.7], MultiplicativeDecay(0.8))))
+        want = evaluate_order([0.9, 0.5, 0.7], [0, 1, 2], MultiplicativeDecay(0.8)).prob_all_success
         assert payload["value"] == pytest.approx(want, abs=1e-15)
 
     def test_objective_defaults_to_scenario_field(self, tmp_path, capsys):
@@ -794,8 +789,8 @@ class TestCliFigure:
         assert code == 0
         payload = json.loads(out)
         matrix = generate_figure_matrix(figure_model(4), seed=6)
-        assert payload["cells"] == [[float(v) for v in row] for row in matrix.cells]
-        assert payload["initial_probabilities"] == matrix.initial_probabilities.tolist()
+        assert payload["cells"] == [[float(v) for v in row] for row in matrix]
+        assert payload["initial_probabilities"] == matrix[0].tolist()
 
     def test_rejects_unknown_extension(self, tmp_path, capsys):
         code, _, err = run_cli(["figure", "--out", str(tmp_path / "fig.png")], capsys)

@@ -1,13 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import decaysched
 from decaysched import (
     AdditiveDecay,
     MultiplicativeDecay,
+    PopulationModel,
     ProbabilityVector,
-    stage_probabilities,
+    evaluate_order,
 )
 from decaysched.decay import _linear_drops
 from decaysched.scheduler import _as_permutation
@@ -15,6 +20,12 @@ from decaysched.scheduler import _as_permutation
 probability_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=10
 )
+
+
+def stage_probabilities(p0, decay):
+    """The decay law applied to ``p0`` as given, that is, in service order."""
+    n = p0.n if isinstance(p0, ProbabilityVector) else len(p0)
+    return evaluate_order(p0, np.arange(n), decay).stage_probabilities
 
 
 class TestLinearDecaySequence:
@@ -102,7 +113,7 @@ class TestMultiplicativeDecay:
 
 
 class TestApplyAdditive:
-    """The additive law as ``stage_probabilities`` applies it."""
+    """The additive law as ``evaluate_order`` applies it."""
 
     def test_worked_vector(self):
         p1 = stage_probabilities([0.8, 0.9, 0.7, 0.7], AdditiveDecay(0.1, 4))
@@ -130,7 +141,7 @@ class TestApplyAdditive:
 
 
 class TestApplyMultiplicative:
-    """The multiplicative law as ``stage_probabilities`` applies it."""
+    """The multiplicative law as ``evaluate_order`` applies it."""
 
     def test_stage_factors(self):
         p1 = stage_probabilities([1.0, 1.0, 1.0, 1.0], MultiplicativeDecay(0.5))
@@ -183,6 +194,51 @@ class TestStageProbabilitiesDispatch:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError, match="decay must be"):
             stage_probabilities([0.5], 0.1)
+
+
+# each check names its field, also for a value that it cannot compare; an
+# array compares, but its comparison has no single truth value
+@pytest.mark.parametrize("value", ["0.1", None, np.array([0.1, 0.2])], ids=["str", "None", "array"])
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda v: PopulationModel(3, v, 1.0, 0.1), "bounds must satisfy 0 <= low < high <= 1"),
+        (lambda v: PopulationModel(3, 0.0, v, 0.1), "bounds must satisfy 0 <= low < high <= 1"),
+        (lambda v: PopulationModel(3, 0.0, 1.0, v), "decay_step must be a finite number >= 0"),
+        (lambda v: AdditiveDecay(v, 3), "decay rate must be a finite number >= 0"),
+        (lambda v: MultiplicativeDecay(v), "multiplicative factor must lie strictly between"),
+    ],
+    ids=["low", "high", "decay_step", "rate", "factor"],
+)
+def test_a_value_that_is_not_a_number_is_named(build, message, value):
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+def test_decayed_values_have_two_producers():
+    # the table and one order are the only two applications of the decay
+    # law; an import or an alias of _decayed counts as naming it
+    used = set()
+    for path in Path(decaysched.__file__).parent.glob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            owner = getattr(statement, "name", "<module>")
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name == "_decayed":
+                    # a renamed import would hide the calls made through it
+                    used.add((path.name, owner, getattr(node, "asname", None)))
+    assert used == {
+        ("scheduler.py", "<module>", None),
+        ("scheduler.py", "stage_item_matrix", None),
+        ("scheduler.py", "evaluate_order", None),
+    }
 
 
 class TestAsPermutation:

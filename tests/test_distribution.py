@@ -55,6 +55,8 @@ class TestProbabilityVector:
         assert ProbabilityVector(np.array([0.2])) == ProbabilityVector(np.array([0.2]))
         assert ProbabilityVector(np.array([0.2])) != ProbabilityVector(np.array([0.3]))
         assert ProbabilityVector(np.array([0.2])) != [0.2]
+        # -0.0 is stored as 0.0, so equal vectors hash equal
+        assert hash(ProbabilityVector([-0.0, 0.5])) == hash(ProbabilityVector([0.0, 0.5]))
 
     def test_rejects_out_of_range_with_position(self):
         with pytest.raises(ValueError, match=r"probabilities\[1\] = 1.5 is outside \[0, 1\]"):

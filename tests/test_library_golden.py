@@ -103,7 +103,7 @@ def evaluate_case(n: int, law: str, order_name: str) -> dict:
 
 def figure_case(low: float, high: float, decay_step: float, seed: int) -> dict:
     matrix = generate_figure_matrix(PopulationModel(13, low, high, decay_step), seed)
-    return {"cells": digest(matrix.cells)}
+    return {"cells": digest(matrix)}
 
 
 CASES = {

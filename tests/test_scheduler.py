@@ -18,7 +18,6 @@ from decaysched import (
     recommended_order,
     sort_order,
     stage_item_matrix,
-    stage_probabilities,
     success_count_pmf,
 )
 from decaysched import scheduler
@@ -192,7 +191,7 @@ class TestEvaluateOrder:
         first = small.pmf
         assert small.pmf is first
         assert len(calls) == 1
-        eager = success_count_pmf(stage_probabilities(np.take(VEC_A, [2, 0, 3, 1]), DECAY_01))
+        eager = success_count_pmf(evaluate_order(VEC_A, [2, 0, 3, 1], DECAY_01).stage_probabilities)
         np.testing.assert_array_equal(first.mass, eager.mass)
         assert metrics.stage_probabilities.size == n
 
