@@ -130,9 +130,9 @@ def _weakest_first(model: PopulationModel, thresholds: np.ndarray, first: int) -
     dropped, which moves the result by less than 1e-140.
 
     Cost: at most about n**2 * min(n / 3, 130) multiply-adds, because each
-    Poisson pmf is cut where it falls below ``_FLUSH_BELOW``.  On one
-    x86-64 core: about 0.15 ms on the reference model, and with every
-    stage active 5 ms at n = 200, 0.14 s at n = 2000 and 4 s at n = 10**4.
+    Poisson pmf is cut where it falls below ``_FLUSH_BELOW``.  Best of 3 on a
+    shared 2-vCPU x86-64 host: about 0.2 ms on the reference model, and with
+    every stage active 8 ms at n = 200, 0.12 s at n = 2000 and 1.9 s at n = 10**4.
     """
     n = model.n
     with np.errstate(over="ignore"):  # a huge threshold clips to 1 all the same

@@ -40,8 +40,8 @@ from .scheduler import (
 
 __all__ = ["build_parser", "main"]
 
-# largest --n: the positivity recursion grows as n**2 (about 4 s at 10**4),
-# and a figure holds n**2 cells (CSV at n = 3000: about 10 s and 340 MB)
+# largest --n: the recursion grows as n**2 (about 2 s at 10**4 on a shared 2-vCPU
+# x86-64 host); a figure holds n**2 cells (CSV at n = 3000: about 10 s and 340 MB)
 _MAX_POPULATION_N = 10_000
 _MAX_FIGURE_N = 1_000
 

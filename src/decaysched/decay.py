@@ -92,17 +92,23 @@ class MultiplicativeDecay:
 _DecaySpec = AdditiveDecay | MultiplicativeDecay
 
 
+def _check_law(decay: object) -> None:
+    """The one type check of a decay law: raise ``TypeError`` unless ``decay`` is either law."""
+    if not isinstance(decay, (AdditiveDecay, MultiplicativeDecay)):
+        raise TypeError(
+            f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}"
+        )
+
+
 def _decayed(p0: np.ndarray, stage: np.ndarray, decay: _DecaySpec) -> np.ndarray:
     """Value at 0-based ``stage`` of an item with initial probability ``p0``.
 
     The two arrays broadcast against each other.  ``p0`` holds one entry
     per item, and an additive law must have exactly one stage per item.
     """
-    if isinstance(decay, AdditiveDecay):
-        if decay.n != p0.size:
-            raise ValueError(f"decay has {decay.n} stages, expected {p0.size}")
-        return np.maximum(p0 - decay.decay_per_stage[stage], 0.0)
+    _check_law(decay)
     if isinstance(decay, MultiplicativeDecay):
         return p0 * decay.factor ** stage
-    raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
-
+    if decay.n != p0.size:
+        raise ValueError(f"decay has {decay.n} stages, expected {p0.size}")
+    return np.maximum(p0 - decay.decay_per_stage[stage], 0.0)

@@ -22,11 +22,14 @@ import json
 import math
 from dataclasses import dataclass
 
-from .decay import AdditiveDecay, MultiplicativeDecay, _DecaySpec
+from .decay import AdditiveDecay, MultiplicativeDecay, _check_law, _DecaySpec
 from .distribution import ProbabilityVector, _as_probability_vector
 from .scheduler import Objective
 
 __all__ = ["ScenarioConfig", "parse_scenario", "serialize_scenario"]
+
+# each law's ``decay.type`` and the one number field that sets it
+_LAW_FIELDS = {"additive": "rate", "multiplicative": "factor"}
 
 
 @dataclass(frozen=True, eq=True)
@@ -40,10 +43,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probabilities", _as_probability_vector(self.probabilities))
         object.__setattr__(self, "objective", Objective(self.objective))
-        if not isinstance(self.decay, (AdditiveDecay, MultiplicativeDecay)):
-            raise TypeError(
-                f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(self.decay).__name__}"
-            )
+        _check_law(self.decay)
         if isinstance(self.decay, AdditiveDecay) and self.decay.n != self.probabilities.n:
             raise ValueError(
                 f"decay has {self.decay.n} stages, expected {self.probabilities.n}"
@@ -69,9 +69,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     Every validation failure names the offending field, with the entry index
     for per-item problems (e.g. ``probabilities[2] = 1.5 is outside [0, 1]``).
     """
+    # deep nesting raises RecursionError; an integer of over 4,300 digits, ValueError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"scenario document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("scenario document must be a JSON object")
@@ -94,25 +95,22 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(raw_decay, dict):
         raise ValueError("decay must be an object with a 'type' field")
     decay_type = raw_decay.get("type")
-    if decay_type == "additive":
-        extra = set(raw_decay) - {"type", "rate"}
-        if extra:
-            raise ValueError(f"unknown additive decay field(s): {', '.join(sorted(extra))}")
-        if "rate" not in raw_decay:
-            raise ValueError("additive decay requires a 'rate' field")
-        rate = _require_number(raw_decay["rate"], "decay.rate")
-        decay: _DecaySpec = AdditiveDecay(rate, probabilities.n)
-    elif decay_type == "multiplicative":
-        extra = set(raw_decay) - {"type", "factor"}
-        if extra:
-            raise ValueError(f"unknown multiplicative decay field(s): {', '.join(sorted(extra))}")
-        if "factor" not in raw_decay:
-            raise ValueError("multiplicative decay requires a 'factor' field")
-        decay = MultiplicativeDecay(_require_number(raw_decay["factor"], "decay.factor"))
-    else:
+    # a membership test, not a lookup: an unhashable type must not raise TypeError
+    if decay_type not in ("additive", "multiplicative"):
         raise ValueError(
             f"decay.type must be 'additive' or 'multiplicative', got {decay_type!r}"
         )
+    key = _LAW_FIELDS[decay_type]
+    extra = set(raw_decay) - {"type", key}
+    if extra:
+        raise ValueError(f"unknown {decay_type} decay field(s): {', '.join(sorted(extra))}")
+    if key not in raw_decay:
+        raise ValueError(f"{decay_type} decay requires a '{key}' field")
+    value = _require_number(raw_decay[key], f"decay.{key}")
+    if decay_type == "additive":
+        decay: _DecaySpec = AdditiveDecay(value, probabilities.n)
+    else:
+        decay = MultiplicativeDecay(value)
 
     objective = Objective.EXPECTED_SUCCESSES
     if "objective" in doc:
@@ -136,8 +134,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
         "probabilities": config.probabilities.probs.tolist(),
         "objective": config.objective.value,
     }
-    if isinstance(config.decay, AdditiveDecay):
-        doc["decay"] = {"type": "additive", "rate": config.decay.rate}
-    else:
-        doc["decay"] = {"type": "multiplicative", "factor": config.decay.factor}
+    law = "additive" if isinstance(config.decay, AdditiveDecay) else "multiplicative"
+    key = _LAW_FIELDS[law]
+    doc["decay"] = {"type": law, key: getattr(config.decay, key)}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

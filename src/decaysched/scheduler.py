@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .decay import AdditiveDecay, MultiplicativeDecay, _decayed, _DecaySpec
+from .decay import AdditiveDecay, _check_law, _decayed, _DecaySpec
 from .distribution import SuccessCountPmf, _as_probability_vector, _convolved_pmf, _frozen
 
 __all__ = [
@@ -269,21 +269,15 @@ def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np
 def recommended_order(decay: _DecaySpec, objective: Objective) -> OrderStrategy:
     """Sorted-order strategy that attains the optimum for this combination.
 
-    Additive decay: ascending (weakest first) maximizes the all-success
-    probability; descending (strongest first) maximizes the expected count,
-    and is also safe when no item is ever clamped to zero, where the expected
-    count is the same for every order.  Multiplicative decay: descending
-    maximizes the expected count, while the all-success probability is the
-    same for every order ('any'): its stage factors multiply to
-    ``factor**(n*(n-1)/2)`` whatever the order.
+    Two rules.  Expected successes: descending (strongest first) under
+    either law; under the additive law every order ties when no item is
+    ever clamped to zero.  All-success probability: ascending (weakest
+    first) under the additive law, and 'any' under the multiplicative law,
+    whose stage factors multiply to ``factor**(n*(n-1)/2)`` whatever the
+    order.
     """
     objective = Objective(objective)
-    if isinstance(decay, MultiplicativeDecay):
-        if objective is Objective.PROB_ALL_SUCCESS:
-            return "any"
+    _check_law(decay)
+    if objective is Objective.EXPECTED_SUCCESSES:
         return "descending"
-    if isinstance(decay, AdditiveDecay):
-        if objective is Objective.PROB_ALL_SUCCESS:
-            return "ascending"
-        return "descending"
-    raise TypeError(f"decay must be AdditiveDecay or MultiplicativeDecay, got {type(decay).__name__}")
+    return "ascending" if isinstance(decay, AdditiveDecay) else "any"

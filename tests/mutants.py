@@ -35,7 +35,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 
 # the goldens, then the kernels and the modules whose results are records;
-# the figure's tests live with the CLI's, in one class
+# the figure's and the scenario document's tests live with the CLI's
 GATES = (
     "tests/test_cli_golden.py",
     "tests/test_library_golden.py",
@@ -45,6 +45,8 @@ GATES = (
     "tests/test_decay.py",
     "tests/test_scheduler.py",
     "tests/test_cli.py::TestFigureMatrix",
+    "tests/test_cli.py::TestParseScenario",
+    "tests/test_cli.py::TestScenarioRoundTrip",
 )
 
 
@@ -262,6 +264,36 @@ MUTANTS = (
         "draws = rng.uniform(model.low, model.high, size=model.n)",
         "killed",
         "the draws are not sorted",
+    ),
+    # the one check of a decay law, the two sorted-order rules, and the one
+    # table of how a document spells each law
+    Mutant(
+        "decay.py",
+        "if not isinstance(decay, (AdditiveDecay, MultiplicativeDecay)):",
+        "if False:",
+        "killed",
+        "_check_law never raises, so a value that is neither law gets through",
+    ),
+    Mutant(
+        "scheduler.py",
+        'return "descending"',
+        'return "ascending"',
+        "killed",
+        "expected successes are served weakest first",
+    ),
+    Mutant(
+        "scheduler.py",
+        'else "any"',
+        'else "ascending"',
+        "killed",
+        "multiplicative all-success is called ascending instead of any order",
+    ),
+    Mutant(
+        "scenario.py",
+        '"multiplicative": "factor"',
+        '"multiplicative": "rate"',
+        "killed",
+        "a multiplicative law is read and written under the name rate",
     ),
 )
 

@@ -64,6 +64,18 @@ valid_decays = st.one_of(
 RAW_VALUES = ("true", "null", '"x"', "[0.5]", "1e400", "-0.0", "5e-324", "1e308")
 _RAW = "\x00raw"
 
+# well-formed documents that json refuses with other errors than
+# JSONDecodeError: deep nesting raises RecursionError, and an integer of
+# over 4,300 digits a bare ValueError
+DEEP = "[" * 100_000 + "]" * 100_000
+REFUSED_JSON = {
+    "deep": DEEP,
+    "deep-objective": '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
+    ' "objective": ' + DEEP + "}",
+    "long-integer": '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1'
+    + "0" * 4300 + "}}",
+}
+
 
 @st.composite
 def mutated_documents(draw):
@@ -199,6 +211,11 @@ class TestParseScenario:
                 '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
                 ' "interval": 0}'
             )
+
+    @pytest.mark.parametrize("name", REFUSED_JSON)
+    def test_json_that_json_refuses_is_not_valid_json(self, name):
+        with pytest.raises(ValueError, match="^scenario document is not valid JSON: "):
+            parse_scenario(REFUSED_JSON[name])
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(text=mutated_documents())
@@ -521,6 +538,16 @@ class TestCliEvaluate:
         code, out, err = run_cli(["evaluate", "--scenario", str(scenario)], capsys)
         assert (code, err) == (0, "")
         assert "stage_probabilities: " + ",".join(["0.5"] + ["0"] * (n - 1)) + "\n" in out
+
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    @pytest.mark.parametrize("name", REFUSED_JSON)
+    def test_json_that_json_refuses_is_a_validation_error(self, name, command, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(REFUSED_JSON[name])
+        code, out, err = run_cli([command, "--scenario", str(scenario)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scenario document is not valid JSON: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
 
     def test_invalid_scenario_names_the_field(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"

@@ -12,6 +12,7 @@ from decaysched import (
     MultiplicativeDecay,
     Objective,
     ProbabilityVector,
+    ScenarioConfig,
     ScheduleMetrics,
     brute_force_optimal,
     evaluate_order,
@@ -402,3 +403,21 @@ class TestRecommendedOrder:
     def test_rejects_bad_decay(self):
         with pytest.raises(TypeError):
             recommended_order(0.5, Objective.EXPECTED_SUCCESSES)
+
+    # decay._check_law is the one check behind every entry point that takes a law
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda decay: stage_item_matrix([0.5], decay),
+            lambda decay: evaluate_order([0.5], [0], decay),
+            lambda decay: brute_force_optimal([0.5], decay, Objective.EXPECTED_SUCCESSES),
+            lambda decay: recommended_order(decay, Objective.EXPECTED_SUCCESSES),
+            lambda decay: ScenarioConfig(ProbabilityVector([0.5]), decay),
+        ],
+        ids=["stage_item_matrix", "evaluate_order", "brute_force_optimal", "recommended_order",
+             "ScenarioConfig"],
+    )
+    def test_every_entry_point_names_the_type_it_got(self, call):
+        message = "^decay must be AdditiveDecay or MultiplicativeDecay, got float$"
+        with pytest.raises(TypeError, match=message):
+            call(0.5)
