@@ -7,7 +7,7 @@ evaluates service orders (success-count distribution, expected successes,
 all-success probability), finds optimal orders exhaustively or by provably
 optimal sorting strategies, and analyzes populations with uniform random
 initial probabilities (probability that no item decays to zero, by closed
-form, an exact order-statistics recursion, and Monte Carlo).  Scenario
+forms and by Monte Carlo).  Scenario
 documents (``scenario``) and decay heatmaps (``figure``) round out the
 library.  The command line lives in ``decaysched.cli`` and is not imported
 here; run it as ``decaysched`` or ``python -m decaysched``.

@@ -6,23 +6,24 @@ per-stage step ``d``.  The item served at stage ``k`` keeps a strictly
 positive probability iff its initial value exceeds the stage threshold
 ``c_k = d * (k - 1)``.  This module computes the probability that *no* item
 is clamped to zero ("positivity") for the strongest-first and weakest-first
-strategies: by closed form (strongest-first), by an exact recursion over
-order statistics (weakest-first), and by seeded Monte Carlo (both).
+strategies: by closed forms (both) and by seeded Monte Carlo (both).
 
 Weakest-first serves the k-th smallest draw at stage k, so positivity is a
 lower-boundary probability for uniform order statistics: with the draws
 mapped to Uniform(0, 1), ``U_(k) > a_k`` must hold for every active rank
 ``k``, where ``a_k = clip((c_k - low) / (high - low), 0, 1)``.  Only stages
-whose threshold exceeds ``low`` can fail; ``m`` denotes their number.
-``positivity_report`` computes it exactly for any ``m`` (in
-``_weakest_first``) by the all-positive recursion of Noe (1972, *Ann.
-Math. Statist.* 43(1):58-64) in the Poisson form of Moscovich & Nadler
-(2017, *Stat. Probab. Lett.* 123:177-182).
+whose threshold exceeds ``low`` can fail.  The active boundaries lie on one
+line, so ``positivity_report`` computes this probability (in
+``_weakest_first``) as the line-boundary sum of Birnbaum & Tingey (1951,
+*Ann. Math. Statist.* 22:592-596), which follows from Daniels' ballot-type
+lemma (1945, *Proc. R. Soc. A* 183:405-435): O(n) positive terms, each a
+binomial probability in the saddle-point form of Loader (2000, "Fast and
+accurate computation of binomial probabilities").
 
-The Monte Carlo counter, like the closed form and the recursion, relies on
-the thresholds never decreasing.  It sorts each block of trials once,
-serves it ascending from the first stage at or above its smallest draw,
-and serves it descending by one column.
+The Monte Carlo counter, like both closed forms, relies on the thresholds
+never decreasing.  It sorts each block of trials once, serves it ascending
+from the first stage at or above its smallest draw, and serves it
+descending by one column.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _check_positive_int, _linear_drops, _satisfies
+from .decay import _check_positive_int, _clip, _linear_drops, _satisfies
 
 __all__ = [
     "PopulationModel",
@@ -41,10 +42,25 @@ __all__ = [
     "positivity_report_montecarlo",
 ]
 
-# recursion terms below this are dropped: the product of two kept terms is
-# a normal float (subnormal arithmetic costs many times a normal one), and
-# the result moves by less than 1e-140 for n up to 10**4
-_FLUSH_BELOW = 2.0**-511
+# stirlerr(k) for k = 0..15 (Loader 2000); _stirlerr takes its series above
+_STIRLERR = np.array([
+    0.0,
+    0.0810614667953272582196702,
+    0.0413406959554092940938221,
+    0.02767792568499833914878929,
+    0.02079067210376509311152277,
+    0.01664469118982119216319487,
+    0.01387612882307074799874573,
+    0.01189670994589177009505572,
+    0.010411265261972096497478567,
+    0.009255462182712732917728637,
+    0.008330563433362871256469318,
+    0.007573675487951840794972024,
+    0.006942840107209529865664152,
+    0.006408994188004207068439631,
+    0.005951370112758847735624416,
+    0.005554733551962801371038690,
+])
 
 # draws per Monte Carlo block: 2**16 float64 values (512 kB) stay in cache;
 # the seeded stream does not depend on the block size
@@ -74,10 +90,9 @@ class PopulationModel:
 class PositivityReport:
     """Positivity probabilities for both strategies.
 
-    ``method`` records how the weakest-first value was obtained ("analytic"
-    when no threshold is active and both values are exactly 1, "recursion"
-    otherwise, "montecarlo" when simulated); the strongest-first value is
-    closed form whenever the method is deterministic.  Each strategy's
+    ``method`` records how both values were obtained: "analytic" for the
+    closed forms of ``positivity_report``, "montecarlo" for the simulation
+    of ``positivity_report_montecarlo``.  Each strategy's
     standard error is zero for deterministic methods and its binomial
     standard error for Monte Carlo.
 
@@ -107,86 +122,100 @@ def _strongest_first(model: PopulationModel, thresholds: np.ndarray) -> float:
     return q**model.n
 
 
+def _stirlerr(k: int | np.ndarray) -> np.ndarray:
+    """``log(k!) - log(sqrt(2 pi k) (k / e)**k)`` for integers ``k >= 1`` (Loader 2000).
+
+    The table for ``k <= 15``, the Stirling series in ``1 / k`` above it.
+    """
+    x = np.asarray(k, dtype=np.float64)
+    xx = x * x
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / xx) / xx) / xx) / xx) / x
+    return np.where(x <= 15, _STIRLERR[np.minimum(k, 15)], series)
+
+
+def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``x log(x / mean) + mean - x`` for ``x, mean > 0``, without cancelling near ``x = mean``.
+
+    Within 10% of the mean, Loader's (2000) series ``(x - mean) v + 2 x
+    (v**3 / 3 + v**5 / 5 + ...)`` with ``v = (x - mean) / (x + mean)``; there
+    ``|v| < 0.1``, so eight terms leave a relative error below 1e-17.
+    """
+    v = (x - mean) / (x + mean)
+    odd = 0.0  # v**2 / 3 + v**4 / 5 + ... + v**16 / 17, by Horner's rule
+    for j in range(8, 0, -1):
+        odd = (odd + 1.0 / (2 * j + 1)) * (v * v)
+    near = (x - mean) * v + 2.0 * x * v * odd
+    with np.errstate(over="ignore"):  # x / mean may overflow: the term is then 0
+        far = x * np.log(x / mean) + mean - x
+    return np.where(np.abs(x - mean) < 0.1 * (x + mean), near, far)
+
+
 def _weakest_first(model: PopulationModel, thresholds: np.ndarray, first: int) -> float:
     """Exact positivity probability for weakest-first service, for any n.
 
     ``thresholds[first:]`` are the active thresholds, those of the 1-based
-    ranks ``first + 1..n``.
+    ranks ``first + 1..n``, and their mapped boundaries ``a_k`` lie on one
+    line.  Split the complement by the last rank ``J`` that fails: then
+    exactly ``J`` draws lie at or below ``a_J``, and the other ``n - J``,
+    uniform above it, clear the rest of the line with probability ``(1 -
+    a_n) / (1 - a_J)`` by Daniels' (1945) lemma.  So, as in Birnbaum &
+    Tingey (1951),
 
-    ``U_(k) > a_k`` holds iff fewer than ``k`` of the ``n`` mapped draws lie
-    at or below ``a_k``, so the recursion walks the active boundaries in
-    order carrying the distribution of ``c``, the count at or below the
-    previous boundary, and drops every count ``>= k`` at rank ``k``.  For
-    ``n`` uniform points the ``n - c`` points above ``a_prev`` fall below
-    ``a_k`` as Binomial(n - c, (a_k - a_prev) / (1 - a_prev)).  The same
-    step is computed for a Poisson(n) number of points, where the count in
-    each slab between boundaries is Poisson(n * (a_k - a_prev)) whatever
-    ``c`` is, so each step is one convolution; conditioning on exactly
-    ``n`` points at the end recovers the uniform result.  The log-pmfs and
-    the final step cancel terms of size ``k * log(k)``, so the error grows
-    with n: tier-1 holds it within 5e-14 relative of Steck's determinant at
-    n = 40 and 120, but at n = 150 one model is off by 1.9e-13 (ROADMAP
-    item 5 has the wider measurements).  Terms below ``_FLUSH_BELOW`` are
-    dropped, which moves the result by less than 1e-140.
+        P = 1 - a_n**n - (1 - a_n) * sum_{active j < n} C(n, j) a_j**j (1 - a_j)**(n-j-1)
 
-    Cost: at most about n**2 * min(n / 3, 130) multiply-adds, because each
-    Poisson pmf is cut where it falls below ``_FLUSH_BELOW``.  Best of 3 on a
-    shared 2-vCPU x86-64 host: about 0.2 ms on the reference model, and with
-    every stage active 8 ms at n = 200, 0.12 s at n = 2000 and 1.9 s at n = 10**4.
+    Every term is positive.  Each is computed as the binomial pmf
+    ``C(n, j) a_j**j (1 - a_j)**(n-j)`` in Loader's (2000) saddle-point
+    form, then divided by ``1 - a_j``; logs of factorials would cancel
+    terms of size ``j * log(j)``.  With no active rank the sum is empty and
+    P is exactly 1; with ``a_n = 1`` it is 0.
+
+    Error, with ``u = 2**-53``: the terms and their sum carry a relative
+    error of about ``gamma_n``, and ``a_n**n`` and the terms times ``1 -
+    a_n`` each come to at most ``1 - P``.  So the result lies within
+    ``(gamma_n + 16 u) (1 - P) + 4 u`` of the exact probability for the
+    float boundaries, which lie on the line up to their rounding; the tests
+    check it against an exact evaluation of the sum and against Steck's
+    determinant.  The bound is absolute: P is computed as ``1 - (...)``, so
+    its relative error can reach about ``n u / P`` when P is small.
+
+    Cost: O(n), with no loop over the ranks in Python.  Best of 3 on a
+    shared 2-vCPU x86-64 host, with every stage active: about 0.12 ms at
+    n = 200, 0.25 ms at n = 2000 and 1.4 ms at n = 10**4.
     """
     n = model.n
     with np.errstate(over="ignore"):  # a huge threshold clips to 1 all the same
-        bounds = np.clip((thresholds[first:] - model.low) / (model.high - model.low), 0.0, 1.0)
-    if bounds[-1] >= 1.0:
+        bounds = np.clip((thresholds - model.low) / (model.high - model.low), 0.0, 1.0)
+    last = float(bounds[-1])
+    if last >= 1.0:
         # every draw lies at or below the last boundary, so that rank fails
         return 0.0
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-
-    def log_poisson(width: float, size: int) -> np.ndarray:
-        """Log pmf at 0..size-1 of the Poisson(n) count in a slab of ``width``."""
-        # width > 0: active bounds exceed 0, increase strictly and stay below 1
-        mean = n * width
-        return np.arange(size) * math.log(mean) - mean - log_factorial[:size]
-
-    def flushed(values: np.ndarray) -> np.ndarray:
-        """``values`` with entries below ``_FLUSH_BELOW`` zeroed and trailing zeros cut."""
-        values = np.where(values >= _FLUSH_BELOW, values, 0.0)
-        return values[: np.flatnonzero(values).max(initial=0) + 1]
-
-    weights = np.ones(1)  # P(c points at or below the previous boundary, no rank failed)
-    previous = 0.0
-    for rank, bound in enumerate(bounds, first + 1):
-        pmf = flushed(np.exp(log_poisson(bound - previous, rank)))
-        weights = flushed(np.convolve(weights, pmf)[:rank])
-        previous = bound
-    # the other n - c points lie above the last boundary; dividing by
-    # P(Poisson(n) = n) conditions on exactly n points in all
-    above = log_poisson(1.0 - previous, n + 1)[::-1][: weights.size]
-    value = weights @ np.exp(above - (n * math.log(n) - n - log_factorial[n]))
-    return float(min(max(value, 0.0), 1.0))
+    # the active ranks below n: their boundaries lie in (0, 1)
+    a = bounds[first:-1]
+    j = np.arange(first + 1, n)
+    log_pmf = _stirlerr(n) - _stirlerr(j) - _stirlerr(n - j)
+    log_pmf -= _bd0(j, n * a) + _bd0(n - j, n * (1.0 - a))
+    terms = np.exp(log_pmf) / np.sqrt(2.0 * math.pi * j * (1.0 - j / n)) / (1.0 - a)
+    return 1.0 - last**n - (1.0 - last) * float(terms.sum())
 
 
 def positivity_report(model: PopulationModel) -> PositivityReport:
-    """Deterministic report: closed-form strongest-first, exact recursion weakest-first.
+    """Deterministic report: closed-form strongest-first and weakest-first.
 
-    The method is "analytic" when no stage threshold exceeds ``low``: then
-    no stage can fail, and both values are exactly 1.  A threshold too large
-    for a float is ``inf``, one that no draw clears.
+    A threshold too large for a float is ``inf``, one that no draw clears.
     """
     c = _linear_drops(model.decay_step, model.n)
     # non-decreasing thresholds make the strongest-first criterion exact, and
     # make the stages that can fail a suffix, found by one binary search
     first = int(np.searchsorted(c, model.low, side="right"))
-    strongest = _strongest_first(model, c)
-    if first == model.n:
-        return PositivityReport(strongest, 1.0, method="analytic")
-    return PositivityReport(strongest, _weakest_first(model, c, first), method="recursion")
+    return PositivityReport(
+        _strongest_first(model, c), _weakest_first(model, c, first), method="analytic"
+    )
 
 
 def _seeded_rng(seed) -> np.random.Generator:
     """PCG64 generator for ``seed``, a non-negative Python or numpy int and not a bool."""
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"seed must be a non-negative integer, got {_clip(repr(seed))}")
     return np.random.default_rng(seed)
 
 

@@ -2,8 +2,7 @@
 
 Subcommands: ``evaluate`` (metrics for one order), ``optimize`` (exhaustive
 or sorted-order search), ``simulate`` (Monte Carlo positivity for both
-service strategies), ``positivity`` (closed form for strongest-first, exact
-recursion for weakest-first), and
+service strategies), ``positivity`` (closed forms for both strategies), and
 ``figure`` (stage-by-item probability matrix as CSV and/or an SVG heatmap).
 ``evaluate`` and ``optimize`` read a scenario document (see
 ``decaysched.scenario``); all item indices on the command line are 0-based.
@@ -40,8 +39,9 @@ from .scheduler import (
 
 __all__ = ["build_parser", "main"]
 
-# largest --n: the recursion grows as n**2 (about 2 s at 10**4 on a shared 2-vCPU
-# x86-64 host); a figure holds n**2 cells (CSV at n = 3000: about 10 s and 340 MB)
+# largest --n of simulate and positivity: it bounds the draws of each simulated
+# trial and the range the tests cover, not positivity's cost (about 1.5 ms at
+# 10**4); a figure holds n**2 cells (CSV at n = 3000: about 10 s and 340 MB)
 _MAX_POPULATION_N = 10_000
 _MAX_FIGURE_N = 1_000
 
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_pos = sub.add_parser(
-        "positivity", help="exact positivity report (closed form + recursion)"
+        "positivity", help="exact positivity report (closed forms)"
     )
     _add_population_flags(p_pos, _MAX_POPULATION_N)
     _add_format_flag(p_pos)

@@ -15,6 +15,23 @@ import numpy as np
 
 __all__ = ["AdditiveDecay", "MultiplicativeDecay"]
 
+# most characters of an input that an error message echoes
+_ECHO_LIMIT = 100
+
+
+def _clip(text: str) -> str:
+    """``text``, such as an input's repr, cut to ``_ECHO_LIMIT`` characters for an error message.
+
+    A longer text keeps its start and ends in an ellipsis and its length, so
+    that every message stays one short line.
+
+    >>> _clip("0123456789" * 20)[90:]
+    '0123456789... (200 characters)'
+    """
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
 
 def _check_positive_int(value, name: str) -> None:
     """Raise unless ``value`` is a positive Python or numpy integer; a bool is not one."""

@@ -45,8 +45,10 @@ def figure_csv(matrix: np.ndarray, header: bool = False) -> str:
     lines = []
     if header:
         lines.append("stage," + ",".join(f"item_{j + 1}" for j in range(matrix.shape[1])))
+    # one %-format per row: formatting cell by cell dominates at large n
+    row_format = ",".join([f"%.{_CSV_DECIMALS}f"] * matrix.shape[1])
     for i, row in enumerate(matrix):
-        cells = ",".join(format(v, f".{_CSV_DECIMALS}f") for v in row)
+        cells = row_format % tuple(row.tolist())
         lines.append(f"{i + 1},{cells}" if header else cells)
     return "\n".join(lines) + "\n"
 

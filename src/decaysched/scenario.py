@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .decay import AdditiveDecay, MultiplicativeDecay, _check_law, _DecaySpec
+from .decay import AdditiveDecay, MultiplicativeDecay, _check_law, _clip, _DecaySpec
 from .distribution import ProbabilityVector, _as_probability_vector
 from .scheduler import Objective
 
@@ -52,7 +52,7 @@ class ScenarioConfig:
 
 def _require_number(value: object, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field_name} must be a number, got {value!r}")
+        raise ValueError(f"{field_name} must be a number, got {_clip(repr(value))}")
     # json reads NaN, Infinity and integers too large for a float
     try:
         number = float(value)
@@ -78,7 +78,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ValueError("scenario document must be a JSON object")
     unknown = set(doc) - {"probabilities", "decay", "objective"}
     if unknown:
-        raise ValueError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown scenario field(s): {_clip(', '.join(sorted(unknown)))}")
 
     if "probabilities" not in doc:
         raise ValueError("scenario is missing the 'probabilities' field")
@@ -98,12 +98,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
     # a membership test, not a lookup: an unhashable type must not raise TypeError
     if decay_type not in ("additive", "multiplicative"):
         raise ValueError(
-            f"decay.type must be 'additive' or 'multiplicative', got {decay_type!r}"
+            f"decay.type must be 'additive' or 'multiplicative', got {_clip(repr(decay_type))}"
         )
     key = _LAW_FIELDS[decay_type]
     extra = set(raw_decay) - {"type", key}
     if extra:
-        raise ValueError(f"unknown {decay_type} decay field(s): {', '.join(sorted(extra))}")
+        raise ValueError(f"unknown {decay_type} decay field(s): {_clip(', '.join(sorted(extra)))}")
     if key not in raw_decay:
         raise ValueError(f"{decay_type} decay requires a '{key}' field")
     value = _require_number(raw_decay[key], f"decay.{key}")
@@ -118,7 +118,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             objective = Objective(doc["objective"])
         except ValueError:
             raise ValueError(
-                f"objective must be 'expected' or 'all', got {doc['objective']!r}"
+                f"objective must be 'expected' or 'all', got {_clip(repr(doc['objective']))}"
             ) from None
 
     return ScenarioConfig(probabilities, decay, objective)

@@ -1,7 +1,7 @@
 """The package's stated accuracy claims, checked where tier-1 cannot afford to.
 
-Run by hand, not by the test suite (about 90 s: 40 s in Steck's
-determinant at n = 600, 35 s in the two sweeps at n = 10**4):
+Run by hand, not by the test suite (about 40 s, nearly all of it in
+Steck's determinant at n = 300..600):
 
     python3 tests/accuracy.py
 
@@ -18,8 +18,10 @@ Standard library, numpy and ``tests/oracles.py`` only.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -29,7 +31,13 @@ if str(ROOT / "src") not in sys.path:  # run from a checkout without installing
     sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-from oracles import gamma, prob_weakest_first_positive_steck  # noqa: E402
+from oracles import (  # noqa: E402
+    _bound,
+    active_ranks,
+    gamma,
+    prob_weakest_first_positive_steck,
+    weakest_first_error_bound,
+)
 
 from decaysched import PopulationModel, positivity_report, success_count_pmf  # noqa: E402
 
@@ -46,7 +54,7 @@ def _weakest_first(model: PopulationModel) -> float:
 
 
 def _steck_error() -> tuple[float, str]:
-    """Worst relative error of the recursion against Steck's exact value."""
+    """Worst relative error of the closed form against Steck's exact value."""
     models = [
         PopulationModel(150, 0.0, 0.1, 0.0005),
         PopulationModel(300, 0.0, 1.0, 0.003),
@@ -62,6 +70,65 @@ def _steck_error() -> tuple[float, str]:
     return max(errors)
 
 
+def _line_sum_decimal(model: PopulationModel) -> Decimal:
+    """The closed form's sum on the float boundaries, in 50-digit decimal arithmetic.
+
+    The active ranks are consecutive, so each binomial coefficient follows
+    from the one before; its 2n roundings move the sum by under 1e-45.
+    """
+    n = model.n
+    ranks = [rank for rank in active_ranks(model) if rank < n]
+    with localcontext() as context:
+        context.prec = 50
+        last = Decimal(_bound(model, n))
+        if last >= 1:
+            return Decimal(0)
+        total = Decimal(0)
+        binomial = Decimal(math.comb(n, ranks[0])) if ranks else Decimal(0)
+        for rank in ranks:
+            a = Decimal(_bound(model, rank))
+            total += binomial * a**rank * (1 - a) ** (n - rank - 1)
+            binomial = binomial * (n - rank) / (rank + 1)
+        return 1 - last**n - (1 - last) * total
+
+
+def _stated_bound_ratio(models, reference) -> tuple[float, str]:
+    """Worst error against ``reference(model)``, as a fraction of the stated absolute bound."""
+    ratios = []
+    for model in models:
+        value = _weakest_first(model)
+        error = abs(Fraction(value) - Fraction(reference(model)))
+        ratio = float(error) / weakest_first_error_bound(model.n, value)
+        ratios.append((ratio, f"n={model.n} low={model.low:.3g} P={value:.3g}"))
+    return max(ratios)
+
+
+def _sweep_model(n: int, seed: int) -> PopulationModel:
+    """The model ``_sweep`` draws for ``n`` and ``seed``, before any field is swept."""
+    rng = np.random.default_rng(seed)
+    step, low = rng.uniform(0.5, 1.0) / n, rng.uniform(0.0, 0.05)
+    return PopulationModel(n, low, 1.0, step)
+
+
+def _decimal_error() -> tuple[float, str]:
+    """Against the 50-digit sum: every stage active at n = 200..10**4, and the sweeps' models."""
+    models = [PopulationModel(n, 0.0, 1.0, 0.9 / n) for n in (200, 2000, 10**4)]
+    models += [_sweep_model(n, seed) for n, seed in ((3000, 1), (3000, 3), (10**4, 4), (10**4, 6))]
+    return _stated_bound_ratio(models, _line_sum_decimal)
+
+
+def _small_p_error() -> tuple[float, str]:
+    """Against Steck's determinant at models whose P lies below 0.05."""
+    models = [
+        PopulationModel(40, 0.0, 1.0, 0.0252),
+        PopulationModel(60, 0.0, 1.0, 0.0168),
+        PopulationModel(120, 0.0, 1.0, 0.00835),
+        PopulationModel(120, 0.0, 1.0, 0.0084),
+        PopulationModel(200, 0.0, 1.0, 0.00502),
+    ]
+    return _stated_bound_ratio(models, prob_weakest_first_positive_steck)
+
+
 def _low_decrease() -> tuple[float, str]:
     """How far weakest-first falls when ``low`` rises by 1e-9."""
     step, low = 0.00020632743784864855, 0.027211461264797593
@@ -73,8 +140,8 @@ def _low_decrease() -> tuple[float, str]:
 def _sweep(field: str, n: int, seed: int, spacing: float, points: int):
     """Worst monotonicity break of weakest-first along ``field``, over ``points`` values.
 
-    The model is drawn as ROADMAP item 5 describes: high = 1, the step
-    uniform in [0.5/n, 1/n] and low uniform in [0, 0.05].  The swept field
+    The model is ``_sweep_model(n, seed)``: high = 1, the step uniform in
+    [0.5/n, 1/n] and low uniform in [0, 0.05].  The swept field
     then takes ``points`` values ``spacing`` apart, ending at 1 for
     ``high`` and starting at the drawn value otherwise.  Weakest-first must
     not decrease in ``low`` or ``high``, nor increase in ``decay_step``;
@@ -82,9 +149,8 @@ def _sweep(field: str, n: int, seed: int, spacing: float, points: int):
     """
 
     def measure() -> tuple[float, str]:
-        rng = np.random.default_rng(seed)
-        step, low = rng.uniform(0.5, 1.0) / n, rng.uniform(0.0, 0.05)
-        drawn = {"n": n, "low": low, "high": 1.0, "decay_step": step}
+        model = _sweep_model(n, seed)
+        drawn = {"n": n, "low": model.low, "high": 1.0, "decay_step": model.decay_step}
         start = 1.0 - (points - 1) * spacing if field == "high" else drawn[field]
         values = []
         for k in range(points):
@@ -92,7 +158,7 @@ def _sweep(field: str, n: int, seed: int, spacing: float, points: int):
         sign = -1.0 if field == "decay_step" else 1.0
         breaks = [sign * (before - after) for before, after in zip(values, values[1:])]
         where = f"n={n} seed={seed} {min(values)!r}..{max(values)!r}"
-        return max(max(breaks), 0.0), where
+        return max(0.0, *breaks), where
 
     return measure
 
@@ -109,16 +175,16 @@ def _pmf_sum_error() -> tuple[float, str]:
 
 CLAIMS = (
     Claim(
-        "the recursion is within 5e-14 relative of Steck's determinant, n = 150..600",
+        "the closed form is within 5e-14 relative of Steck's determinant, n = 150..600",
         5e-14,
         _steck_error,
-        "fails",  # ROADMAP item 5
+        "holds",
     ),
     Claim(
         "weakest-first does not decrease in low, n = 3000",
         0.0,
         _low_decrease,
-        "fails",  # ROADMAP item 5
+        "holds",
     ),
     # fixed sweeps: their seeds and spacings were set before their first
     # run, whose verdicts are the expected ones; a decay_step 1e-12 apart
@@ -127,7 +193,7 @@ CLAIMS = (
         "weakest-first does not decrease in low, n = 3000, sweep 1",
         0.0,
         _sweep("low", 3000, seed=1, spacing=1e-9, points=9),
-        "fails",  # ROADMAP item 5
+        "holds",
     ),
     Claim(
         "weakest-first does not decrease in low, n = 3000, sweep 2",
@@ -139,25 +205,39 @@ CLAIMS = (
         "weakest-first does not decrease in high, n = 3000",
         0.0,
         _sweep("high", 3000, seed=3, spacing=1e-9, points=9),
-        "fails",  # ROADMAP item 5
+        "holds",
     ),
     Claim(
         "weakest-first does not decrease in high, n = 10**4",
         0.0,
         _sweep("high", 10**4, seed=4, spacing=1e-9, points=5),
-        "fails",  # ROADMAP item 5
+        "holds",
     ),
     Claim(
         "weakest-first does not increase in decay_step, n = 3000",
         0.0,
         _sweep("decay_step", 3000, seed=5, spacing=1e-12, points=9),
-        "fails",  # ROADMAP item 5
+        "holds",
     ),
     Claim(
         "weakest-first does not increase in decay_step, n = 10**4",
         0.0,
         _sweep("decay_step", 10**4, seed=6, spacing=1e-12, points=5),
-        "fails",  # ROADMAP item 5
+        "holds",
+    ),
+    Claim(
+        "the closed form is within its stated absolute bound of a 50-digit decimal "
+        "evaluation of its sum, n = 200..10**4 (error over the bound)",
+        1.0,
+        _decimal_error,
+        "holds",
+    ),
+    Claim(
+        "the closed form is within its stated absolute bound of Steck's determinant "
+        "where P < 0.05, n = 40..200 (error over the bound)",
+        1.0,
+        _small_p_error,
+        "holds",
     ),
     Claim(
         # the stated underflow term, n**2 * 2**-1074, is below gamma_3n's last bit

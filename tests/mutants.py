@@ -59,7 +59,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the kernels and the recursion
+    # the kernels and the closed forms
     Mutant(
         "analysis.py",
         "first = int(np.searchsorted(thresholds, s[:, :1].min(initial=np.inf)))",
@@ -132,17 +132,17 @@ MUTANTS = (
     ),
     Mutant(
         "analysis.py",
-        "weights = flushed(np.convolve(weights, pmf)[:rank])",
-        "weights = flushed(np.convolve(weights, pmf)[:rank + 1])",
+        "1.0 - last**n - (1.0 - last) * float(terms.sum())",
+        "1.0 - (1.0 - last) * float(terms.sum())",
         "killed",
-        "rank k keeps the count k, which fails it",
+        "weakest-first drops the a_n**n term: the event that the last rank fails",
     ),
     Mutant(
         "analysis.py",
-        "_FLUSH_BELOW = 2.0**-511",
-        "_FLUSH_BELOW = 2.0**-45",
+        "1.0 - last**n - (1.0 - last) * float(terms.sum())",
+        "1.0 - last**n - float(terms.sum())",
         "killed",
-        "moves the recursion by over 1.4e-13 at n = 120; Steck's determinant sees it",
+        "weakest-first drops the (1 - a_n) factor of Daniels' lemma",
     ),
     Mutant(
         "analysis.py",
@@ -161,17 +161,17 @@ MUTANTS = (
     ),
     Mutant(
         "analysis.py",
-        "return float(min(max(value, 0.0), 1.0))",
-        "return float(value)",
+        "for j in range(8, 0, -1):",
+        "for j in range(1, 0, -1):",
         "killed",
-        "weakest-first can exceed 1 by its rounding",
+        "bd0's series near the mean keeps one term of eight",
     ),
     Mutant(
         "analysis.py",
-        'return PositivityReport(strongest, 1.0, method="analytic")',
-        'return PositivityReport(strongest, 1.0, method="analytical")',
+        "/ (1.0 - a)",
+        "/ (1.0 - a) / a",
         "killed",
-        "a method name outside the documented three",
+        "the terms take a_j**(j - 1) in place of a_j**j",
     ),
     Mutant(
         "analysis.py",
@@ -182,10 +182,10 @@ MUTANTS = (
     ),
     Mutant(
         "analysis.py",
-        "_weakest_first(model, c, first), method=\"recursion\")",
-        "_weakest_first(model, c, first), \"recursion\", 0.0, 5e-14)",
+        "0.02767792568499833914878929,",
+        "0.02079067210376509311152277,",
         "killed",
-        "a deterministic report with a non-zero standard error",
+        "one stirlerr table entry off by one: k = 3 takes the value of k = 4",
     ),
     Mutant(
         "decay.py",
@@ -294,6 +294,14 @@ MUTANTS = (
         '"multiplicative": "rate"',
         "killed",
         "a multiplicative law is read and written under the name rate",
+    ),
+    # the closed form's report
+    Mutant(
+        "analysis.py",
+        'method="analytic"',
+        '"analytic", 0.0, 5e-14',
+        "killed",
+        "a deterministic report with a non-zero standard error",
     ),
 )
 

@@ -1,12 +1,13 @@
 """Slow, independent oracles for the exhaustive search and the weakest-first
-positivity probability, and Higham's rounding bound ``gamma``.
+positivity probability, Higham's rounding bound ``gamma``, and the error
+bound that the package states for weakest-first.
 
 None is used by the package at run time.  ``best_order_by_enumeration``
 tries every service order of a stage/item table; the tests compare the
 search kernel and ``decaysched.brute_force_optimal`` against it.
 
 The tests compare the weakest-first value of ``decaysched.positivity_report``
-against the other three.  Each finds the stages that can fail, or maps
+against the other four.  Each finds the stages that can fail, or maps
 the thresholds, on its own (``active_ranks``, ``_bound``), in plain
 Python floats, so a wrong rule in the package does not carry over to them.
 
@@ -26,6 +27,12 @@ rounding.  ``prob_weakest_first_positive_steck`` computes the same rational
 number another way, by Steck's determinant (Steck 1971, *Ann. Math.
 Statist.* 42(1):1-11; Shorack & Wellner 1986, ch. 9), fast enough for
 n = 120.
+
+``prob_weakest_first_positive_line_sum`` evaluates, in rational arithmetic,
+the sum the package evaluates in floats (Daniels 1945; Birnbaum & Tingey
+1951).  The sum assumes the boundaries lie on one line, which the float
+boundaries do only up to rounding, so it equals the other two exactly only
+when they do: then it checks the package's float arithmetic alone.
 """
 
 from __future__ import annotations
@@ -200,3 +207,28 @@ def prob_weakest_first_positive_steck(model: PopulationModel) -> Fraction:
             total += term if (k - i) % 2 == 0 else -term
         folded.append(total)
     return Fraction(folded[-1], scale**model.n)
+
+
+def prob_weakest_first_positive_line_sum(model: PopulationModel) -> Fraction:
+    """Weakest-first positivity probability by the line-boundary sum, exactly.
+
+    ``1 - a_n**n - (1 - a_n) * sum_j C(n, j) a_j**j (1 - a_j)**(n-j-1)``
+    over the active ranks ``j < n``, on the float boundaries converted
+    exactly.  Fast enough for n = 200.
+    """
+    n = model.n
+    last = Fraction(_bound(model, n))
+    if last >= 1:
+        return Fraction(0)
+    total = Fraction(0)
+    for rank in active_ranks(model):
+        if rank < n:
+            a = Fraction(_bound(model, rank))
+            total += math.comb(n, rank) * a**rank * (1 - a) ** (n - rank - 1)
+    return 1 - last**n - (1 - last) * total
+
+
+def weakest_first_error_bound(n: int, p: float) -> float:
+    """The absolute error the package states for a weakest-first value ``p`` at ``n`` items:
+    ``(gamma_n + 16 u) (1 - p) + 4 u``."""
+    return (gamma(n) + 16 * UNIT_ROUNDOFF) * (1 - p) + 4 * UNIT_ROUNDOFF

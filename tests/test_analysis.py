@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,8 +14,10 @@ from oracles import (
     QuadratureDimensionError,
     active_ranks,
     prob_weakest_first_positive_exact,
+    prob_weakest_first_positive_line_sum,
     prob_weakest_first_positive_quadrature,
     prob_weakest_first_positive_steck,
+    weakest_first_error_bound,
 )
 from scipy.integrate import dblquad, tplquad
 
@@ -82,7 +85,7 @@ class TestThresholds:
 
     def test_active_thresholds_reference_model(self):
         assert active_ranks(REFERENCE_MODEL) == [10, 11, 12, 13]
-        assert positivity_report(REFERENCE_MODEL).method == "recursion"
+        assert positivity_report(REFERENCE_MODEL).method == "analytic"
 
     def test_no_decay_means_no_active_thresholds(self):
         model = PopulationModel(n=5, low=0.0, high=1.0, decay_step=0.0)
@@ -92,7 +95,7 @@ class TestThresholds:
     def test_zero_low_activates_every_decayed_stage(self):
         model = PopulationModel(n=4, low=0.0, high=1.0, decay_step=0.1)
         assert active_ranks(model) == [2, 3, 4]
-        assert positivity_report(model).method == "recursion"
+        assert positivity_report(model).method == "analytic"
 
     def test_threshold_equal_to_low_is_not_active(self):
         # strict inequality: a draw exceeds `low` almost surely
@@ -109,7 +112,7 @@ class TestThresholds:
         step = 0.125
         model = PopulationModel(n=n, low=low_stage * step, high=1.0, decay_step=step)
         report = positivity_report(model)
-        assert report.method == ("recursion" if active_ranks(model) else "analytic")
+        assert report.method == "analytic"
         exact = prob_weakest_first_positive_exact(model)
         error = abs(Fraction(report.prob_weakest_first_positive) - exact)
         assert error <= Fraction(1e-13) * exact
@@ -282,8 +285,8 @@ def any_population_models(draw, max_n=200):
 
 
 def assert_matches_exact_oracle(model):
-    # the recursion's documented error: about 5e-14 relative, plus under 1e-140
-    # from flushed terms
+    # tighter than the absolute bound that _weakest_first states, and met on
+    # these models, whose last stage alone fails with at most 99% probability
     exact = prob_weakest_first_positive_exact(model)
     error = abs(Fraction(positivity_report(model).prob_weakest_first_positive) - exact)
     assert error <= Fraction(1e-13) * exact + Fraction(1e-140)
@@ -318,21 +321,46 @@ class TestWeakestFirstRecursion:
             PopulationModel(n=40, low=0.0, high=1.0, decay_step=0.9 / 40),
             PopulationModel(n=120, low=0.0, high=1.0, decay_step=0.9 / 120),
             PopulationModel(n=120, low=0.3, high=0.9, decay_step=0.55 / 119),
-            pytest.param(
-                PopulationModel(n=150, low=0.0, high=0.1, decay_step=0.0005),
-                marks=pytest.mark.xfail(
-                    strict=True, reason="off by 1.9e-13 relative (ROADMAP item 5)"
-                ),
-            ),
+            PopulationModel(n=150, low=0.0, high=0.1, decay_step=0.0005),
         ],
         ids=["n40", "n120", "n120-narrow", "n150"],
     )
     def test_matches_steck_determinant_within_documented_error(self, model):
-        # _weakest_first's docstring states 5e-14 relative at n = 40 and 120; a
-        # flush threshold of 2**-45 moves the n = 120 values by over 1.4e-13
+        # P > 0.26 at each model, where the absolute bound that _weakest_first
+        # states lies below 5e-14 * P
         exact = prob_weakest_first_positive_steck(model)
         error = abs(Fraction(positivity_report(model).prob_weakest_first_positive) - exact)
         assert error <= Fraction(5e-14) * exact
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(any_population_models())
+    def test_matches_line_sum_within_stated_bound(self, model):
+        exact = prob_weakest_first_positive_line_sum(model)
+        value = positivity_report(model).prob_weakest_first_positive
+        assert abs(Fraction(value) - exact) <= weakest_first_error_bound(model.n, value)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PopulationModel(n=6, low=0.5, high=1.0, decay_step=0.125),
+            PopulationModel(n=12, low=0.25, high=0.75, decay_step=1 / 32),
+            PopulationModel(n=40, low=0.0, high=1.0, decay_step=1 / 64),
+            PopulationModel(n=100, low=0.0, high=0.5, decay_step=1 / 256),
+        ],
+        ids=["m1", "n12", "n40", "n100"],
+    )
+    def test_line_sum_equals_steck_determinant_on_dyadic_lines(self, model):
+        # dyadic steps and bounds put the float boundaries exactly on one line
+        line_sum = prob_weakest_first_positive_line_sum(model)
+        assert line_sum == prob_weakest_first_positive_steck(model)
+
+    def test_line_sum_matches_steck_determinant_within_stated_bound(self):
+        # elsewhere the float boundaries stray from one line by their rounding
+        models = _random_models(26, 20, max_active=40, min_active=1, max_n=40)
+        for model in [REFERENCE_MODEL, *models]:
+            exact = prob_weakest_first_positive_steck(model)
+            line_sum = prob_weakest_first_positive_line_sum(model)
+            assert abs(line_sum - exact) <= weakest_first_error_bound(model.n, float(exact))
 
     def test_no_active_thresholds_returns_one(self):
         model = PopulationModel(n=5, low=0.5, high=1.0, decay_step=0.05)
@@ -532,9 +560,9 @@ class TestMonteCarlo:
 
 
 class TestPositivityReport:
-    def test_reference_model_uses_recursion(self):
+    def test_reference_model_is_analytic(self):
         report = positivity_report(REFERENCE_MODEL)
-        assert report.method == "recursion"
+        assert report.method == "analytic"
         assert report.strongest_first_std_error == report.weakest_first_std_error == 0.0
         assert report.prob_strongest_first_positive == 0.56**13
         assert report.prob_weakest_first_positive == pytest.approx(0.9999677, abs=1e-5)
@@ -571,8 +599,8 @@ class TestPositivityReport:
         report = positivity_report(model)
         values = report.prob_strongest_first_positive, report.prob_weakest_first_positive
         assert all(0.0 <= value <= 1.0 for value in values)
-        assert report.method in ("analytic", "recursion")
-        if report.method == "analytic":
+        assert report.method == "analytic"
+        if not active_ranks(model):
             assert values == (1.0, 1.0)
         assert report.strongest_first_std_error == 0.0
         assert report.weakest_first_std_error == 0.0
@@ -616,6 +644,44 @@ class TestRandomModelInvariants:
                 if not 0.05 <= expected <= 0.95:
                     continue
                 assert abs(est - expected) <= 4.0 * se + 1e-9
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(any_population_models(max_n=10**4))
+    @example(PopulationModel(n=10**4, low=0.0, high=1.0, decay_step=0.9e-4))
+    def test_weakest_first_dominates_strongest_first_up_to_n_10000(self, model):
+        report = positivity_report(model)
+        weakest = report.prob_weakest_first_positive
+        assert report.prob_strongest_first_positive <= weakest + weakest_first_error_bound(
+            model.n, weakest
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        any_population_models(max_n=10**4),
+        st.sampled_from(["low", "high", "decay_step"]),
+        st.integers(1, 12).map(lambda k: 10.0**-k) | st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @example(PopulationModel(n=10**4, low=0.02, high=1.0, decay_step=0.7e-4), "high", 1e-9)
+    @example(PopulationModel(n=10**4, low=0.02, high=1.0, decay_step=0.7e-4), "decay_step", 1e-8)
+    def test_weakest_first_is_monotone_up_to_n_10000(self, model, field, t):
+        # weakest-first does not decrease in low or high, nor increase in
+        # decay_step, within the stated bound of each of the two values
+        if field == "low":
+            moved = dataclasses.replace(model, low=model.low + t * (model.high - model.low))
+        elif field == "high":
+            moved = dataclasses.replace(model, high=model.high + t * (1.0 - model.high))
+        else:
+            assume(model.decay_step * (1.0 + t) < math.inf)
+            moved = dataclasses.replace(model, decay_step=model.decay_step * (1.0 + t))
+        before = positivity_report(model).prob_weakest_first_positive
+        after = positivity_report(moved).prob_weakest_first_positive
+        slack = weakest_first_error_bound(model.n, before) + weakest_first_error_bound(
+            model.n, after
+        )
+        if field == "decay_step":
+            assert after <= before + slack
+        else:
+            assert after >= before - slack
 
     def test_recursion_dominates_strongest_first(self):
         for model in _random_models(20250819, 40, max_active=40, max_n=40):

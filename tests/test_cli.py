@@ -395,6 +395,27 @@ class TestFigureRendering:
         want = "stage,item_1,item_2\n1,0.250000,0.750000\n2,0.000000,0.250000\n"
         assert figure_csv(self.hand_matrix(), header=True) == want
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-7, 2.5e-6]),
+                         min_size=n, max_size=n),
+                min_size=1, max_size=4,
+            )
+        ),
+        st.booleans(),
+    )
+    def test_csv_formats_each_cell_as_format_does(self, rows, header):
+        # the cell-by-cell rendering that the row format replaced, as reference
+        matrix = np.array(rows)
+        lines = ["stage," + ",".join(f"item_{j + 1}" for j in range(matrix.shape[1]))]
+        for i, row in enumerate(matrix):
+            cells = ",".join(format(v, ".6f") for v in row)
+            lines.append(f"{i + 1},{cells}" if header else cells)
+        want = "\n".join(lines if header else lines[1:]) + "\n"
+        assert figure_csv(matrix, header=header) == want
+
     def test_csv_golden_file(self):
         matrix = generate_figure_matrix(figure_model(13), seed=1729)
         golden = (DATA_DIR / "figure_seed1729.csv").read_text()
@@ -671,7 +692,7 @@ class TestCliSimulateAndPositivity:
         code, out, _ = run_cli(["positivity", "--format", "structured"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "recursion"
+        assert payload["method"] == "analytic"
         assert payload["strongest_first"] == 0.56**13
         assert payload["weakest_first"] == pytest.approx(0.9999677, abs=1e-5)
 
@@ -690,7 +711,7 @@ class TestCliSimulateAndPositivity:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "recursion"
+        assert payload["method"] == "analytic"
         model = PopulationModel(n=8, low=0.0, high=1.0, decay_step=0.05)
         assert payload["weakest_first"] == positivity_report(model).prob_weakest_first_positive
 
@@ -1027,6 +1048,32 @@ class TestCliNeverCrashes:
         elif fmt == "structured":
             assert out.count("\n") == 1
             json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize(
+        "command,changes,field",
+        [
+            (["optimize"], {"objective": [0] * 100_000}, "objective"),
+            (["evaluate"], {"probabilities": ["x" * 100_000]}, "probabilities[0]"),
+            (["evaluate"], {"decay": {"type": "y" * 100_000}}, "decay.type"),
+            (["evaluate"], {"decay": {"type": "additive", "rate": [1] * 100_000}}, "decay.rate"),
+            (["evaluate"], {"z" * 100_000: 1}, "unknown scenario field"),
+            (["evaluate"], {"decay": {"type": "additive", "rate": 0.1, "w" * 100_000: 1}},
+             "unknown additive decay field"),
+            (["evaluate", "--order=" + ",".join(["0"] * 20_000)],
+             {"probabilities": [0.5] * 20_000, "decay": {"type": "multiplicative", "factor": 0.5}},
+             "order"),
+        ],
+        ids=["objective", "probability", "decay-type", "rate", "field", "decay-field", "order"],
+    )
+    def test_a_huge_value_is_one_short_error_line(self, command, changes, field, monkeypatch,
+                                                   capsys):
+        # an echoed value is cut to 100 characters, so a line stays under 300 bytes
+        document = {**json.loads(SCENARIO_A), **changes}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1, err[:300]
+        assert len(err.encode()) < 300, err[:300]
 
     def test_a_negative_order_fails_in_either_spelling(self, monkeypatch, capsys):
         # argparse reads "-1,0,1,2" after a space as an option, so only the "="
