@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _check_positive_int, _clip, _linear_drops, _satisfies
+from .decay import _echo, _integer, _linear_drops, _real
 
 __all__ = [
     "PopulationModel",
@@ -77,13 +77,19 @@ class PopulationModel:
     decay_step: float
 
     def __post_init__(self) -> None:
-        _check_positive_int(self.n, "n")
-        if not _satisfies(lambda low, high: 0.0 <= low < high <= 1.0, self.low, self.high):
+        n = _integer(self.n, "n", 1)
+        low, high, step = _real(self.low), _real(self.high), _real(self.decay_step)
+        if not 0.0 <= low < high <= 1.0:
             raise ValueError(
-                f"bounds must satisfy 0 <= low < high <= 1, got low={self.low} high={self.high}"
+                "bounds must satisfy 0 <= low < high <= 1, "
+                f"got low={_echo(self.low, str)} high={_echo(self.high, str)}"
             )
-        if not _satisfies(lambda step: 0.0 <= step < math.inf, self.decay_step):
-            raise ValueError(f"decay_step must be a finite number >= 0, got {self.decay_step}")
+        if not 0.0 <= step < math.inf:
+            raise ValueError(
+                f"decay_step must be a finite number >= 0, got {_echo(self.decay_step, str)}"
+            )
+        for name, value in (("n", n), ("low", low), ("high", high), ("decay_step", step)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -214,9 +220,7 @@ def positivity_report(model: PopulationModel) -> PositivityReport:
 
 def _seeded_rng(seed) -> np.random.Generator:
     """PCG64 generator for ``seed``, a non-negative Python or numpy int and not a bool."""
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {_clip(repr(seed))}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer(seed, "seed", 0))
 
 
 def _count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[int, int]:
@@ -260,7 +264,7 @@ def positivity_report_montecarlo(
     regardless of blocking.  ``trials`` must be a positive integer and
     ``seed`` a non-negative one; neither may be a bool.
     """
-    _check_positive_int(trials, "trials")
+    trials = _integer(trials, "trials", 1)
     rng = _seeded_rng(seed)
     thresholds = _linear_drops(model.decay_step, model.n)
     ascending = descending = 0

@@ -48,6 +48,16 @@ _MAX_FIGURE_N = 1_000
 # largest trials * n for simulate: about 15 s at 12-16 ns per draw
 _MAX_SIMULATED_DRAWS = 10**9
 
+# most characters of an argument that an error message echoes, as in the library's messages
+_ECHO_LIMIT = 100
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to ``_ECHO_LIMIT`` characters: its start, an ellipsis and its length."""
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
 
 def _format_value(value: object) -> str:
     if isinstance(value, float):
@@ -82,7 +92,7 @@ def _resolve_order(spec: str, config: ScenarioConfig) -> np.ndarray | list[int]:
     except ValueError:
         raise ValueError(
             "--order must be 'identity', 'ascending', 'descending', or "
-            f"comma-separated 0-based indices, got {spec!r}"
+            f"comma-separated 0-based indices, got {_cut(repr(spec))}"
         ) from None
 
 
@@ -134,7 +144,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials > limit:
         raise ValueError(
             f"--trials must be at most {limit} at --n {model.n} "
-            f"({_MAX_SIMULATED_DRAWS} draws in all), got {args.trials}"
+            f"({_MAX_SIMULATED_DRAWS} draws in all), got {_cut(str(args.trials))}"
         )
     report = analysis.positivity_report_montecarlo(model, args.trials, args.seed)
     _emit(
@@ -176,9 +186,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     for out in outs:
         path = Path(out)
         if path.suffix.lower() not in (".csv", ".svg"):
-            raise ValueError(f"--out path must end in .csv or .svg, got {out!r}")
+            raise ValueError(f"--out path must end in .csv or .svg, got {_cut(repr(out))}")
         if path.is_dir() or not path.parent.is_dir():
-            raise ValueError(f"--out path must name a file in an existing directory, got {out!r}")
+            raise ValueError(
+                f"--out path must name a file in an existing directory, got {_cut(repr(out))}"
+            )
     matrix = generate_figure_matrix(model, args.seed)
     for out in outs:
         path = Path(out)
@@ -224,11 +236,11 @@ def _bounded_int(minimum: int | None = None, maximum: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {_cut(repr(text))}") from None
         if minimum is not None and value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {_cut(str(value))}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {_cut(str(value))}")
         return value
 
     return parse
@@ -239,7 +251,7 @@ def _float(text: str) -> float:
     try:
         return float(text) + 0.0
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {_cut(repr(text))}") from None
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
@@ -307,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_population_flags(p_sim, _MAX_POPULATION_N)
     p_sim.add_argument(
         "--trials",
-        type=int,
+        type=_bounded_int(),
         default=100_000,
         help=f"Monte Carlo trials, with trials * n at most {_MAX_SIMULATED_DRAWS} "
         "(default: 100000)",
@@ -350,8 +362,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # its text holds a path as given
+        print(f"error: {_cut(str(exc))}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a bug, not bad input
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -9,6 +9,8 @@ the first-served item suffers no decay (stage 1 starts at time 0).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,22 +35,52 @@ def _clip(text: str) -> str:
     return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
-def _check_positive_int(value, name: str) -> None:
-    """Raise unless ``value`` is a positive Python or numpy integer; a bool is not one."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+def _echo(value: object, convert=repr) -> str:
+    """An input as an error message shows it: ``convert(value)``, cut by ``_clip``.
 
+    An int too long for Python to write out (over 4,300 digits by default)
+    shows its digit count instead, also as a list entry, so that the
+    message names its field rather than failing to form.
 
-def _satisfies(check, *values) -> bool:
-    """Whether ``check(*values)`` holds.  It never does for a bool, nor for a
-    value that the check cannot reduce to one truth value, such as a
-    string, None or an array."""
-    if any(isinstance(value, bool) for value in values):
-        return False
+    >>> _echo(-10**5000)
+    '<negative int of 5001 digits>'
+    """
     try:
-        return bool(check(*values))
-    except (TypeError, ValueError):
-        return False
+        return _clip(convert(value))
+    except ValueError:
+        pass
+    if isinstance(value, list):
+        return _clip("[" + ", ".join(map(_echo, value)) + "]")
+    if not isinstance(value, int):
+        return f"<{type(value).__name__}>"
+    size = abs(value)
+    digits = int(math.log10(size)) + 1  # log10 may round across a power of ten
+    digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+    return f"<{'negative ' if value < 0 else ''}int of {digits} digits>"
+
+
+def _is_number(value: object) -> bool:
+    """A real number, not a bool: a Python or numpy int or float, or a ``Fraction``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value: object) -> float:
+    """``value`` as a Python float for a range check: +-inf for an int beyond the float
+    range, and NaN, which every check refuses, for what ``_is_number`` refuses."""
+    if not _is_number(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _integer(value: object, name: str, minimum: int) -> int:
+    """``value`` as a Python int, if it is a Python or numpy integer >= ``minimum``, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= minimum):
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {_echo(value)}")
+    return int(value)
 
 
 def _linear_drops(rate: float, n: int) -> np.ndarray:
@@ -78,12 +110,16 @@ class AdditiveDecay:
     decay_per_stage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _satisfies(lambda rate: 0.0 <= rate < np.inf, self.rate):
-            raise ValueError(f"decay rate must be a finite number >= 0, got {self.rate}")
-        _check_positive_int(self.n, "n")
-        drops = _linear_drops(self.rate, self.n)
+        rate = _real(self.rate)
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(
+                f"decay rate must be a finite number >= 0, got {_echo(self.rate, str)}"
+            )
+        n = _integer(self.n, "n", 1)
+        drops = _linear_drops(rate, n)
         drops.flags.writeable = False
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "decay_per_stage", drops)
 
     @classmethod
@@ -99,11 +135,13 @@ class MultiplicativeDecay:
     factor: float
 
     def __post_init__(self) -> None:
-        if not _satisfies(lambda factor: 0.0 < factor < 1.0, self.factor):
+        factor = _real(self.factor)
+        if not 0.0 < factor < 1.0:
             raise ValueError(
-                f"multiplicative factor must lie strictly between 0 and 1, got {self.factor}"
+                "multiplicative factor must lie strictly between 0 and 1, "
+                f"got {_echo(self.factor, str)}"
             )
-        object.__setattr__(self, "factor", float(self.factor))
+        object.__setattr__(self, "factor", factor)
 
 
 _DecaySpec = AdditiveDecay | MultiplicativeDecay

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decay import _echo, _is_number, _real
+
 __all__ = ["ProbabilityVector", "SuccessCountPmf", "success_count_pmf"]
 
 
@@ -29,6 +31,15 @@ class ProbabilityVector:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.probs, np.ndarray) and self.probs.dtype.kind in "iuf"):
+            # each entry as ``_real`` reads it: a bool or a string is not a number;
+            # an input of another shape than one dimension is refused below
+            entries = np.asarray(self.probs, dtype=object)
+            for i, raw in enumerate(entries if entries.ndim == 1 else ()):
+                if not _is_number(raw):
+                    raise ValueError(f"probabilities[{i}] must be a number, got {_echo(raw)}")
+            reals = [_real(raw) for raw in entries.flat]
+            object.__setattr__(self, "probs", np.reshape(reals, entries.shape))
         arr = np.asarray(self.probs, dtype=np.float64) + 0.0
         if arr.ndim != 1:
             raise ValueError(f"probabilities must be one-dimensional, got shape {arr.shape}")

@@ -22,7 +22,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .decay import AdditiveDecay, MultiplicativeDecay, _check_law, _clip, _DecaySpec
+from .decay import (
+    AdditiveDecay, MultiplicativeDecay, _check_law, _clip, _DecaySpec, _echo, _is_number, _real
+)
 from .distribution import ProbabilityVector, _as_probability_vector
 from .scheduler import Objective
 
@@ -51,13 +53,10 @@ class ScenarioConfig:
 
 
 def _require_number(value: object, field_name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field_name} must be a number, got {_clip(repr(value))}")
+    if not _is_number(value):
+        raise ValueError(f"{field_name} must be a number, got {_echo(value)}")
     # json reads NaN, Infinity and integers too large for a float
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+    number = _real(value)
     if not math.isfinite(number):
         raise ValueError(f"{field_name} must be a finite number, got {number}")
     return number
@@ -98,7 +97,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     # a membership test, not a lookup: an unhashable type must not raise TypeError
     if decay_type not in ("additive", "multiplicative"):
         raise ValueError(
-            f"decay.type must be 'additive' or 'multiplicative', got {_clip(repr(decay_type))}"
+            f"decay.type must be 'additive' or 'multiplicative', got {_echo(decay_type)}"
         )
     key = _LAW_FIELDS[decay_type]
     extra = set(raw_decay) - {"type", key}
@@ -118,7 +117,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             objective = Objective(doc["objective"])
         except ValueError:
             raise ValueError(
-                f"objective must be 'expected' or 'all', got {_clip(repr(doc['objective']))}"
+                f"objective must be 'expected' or 'all', got {_echo(doc['objective'])}"
             ) from None
 
     return ScenarioConfig(probabilities, decay, objective)

@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .decay import AdditiveDecay, _check_law, _clip, _decayed, _DecaySpec
+from .decay import AdditiveDecay, _check_law, _decayed, _DecaySpec, _echo
 from .distribution import SuccessCountPmf, _as_probability_vector, _convolved_pmf, _frozen
 
 __all__ = [
@@ -97,7 +97,7 @@ def sort_order(p0, direction: OrderDirection) -> np.ndarray:
     pv = _as_probability_vector(p0)
     if direction not in ("ascending", "descending"):
         raise ValueError(
-            f"direction must be 'ascending' or 'descending', got {_clip(repr(direction))}"
+            f"direction must be 'ascending' or 'descending', got {_echo(direction)}"
         )
     order = np.argsort(pv.probs if direction == "ascending" else -pv.probs, kind="stable")
     order.flags.writeable = False
@@ -129,8 +129,8 @@ def _as_permutation(order, n: int) -> np.ndarray:
     if arr.dtype.kind not in "iufO" or (arr.dtype.kind == "f" and (np.trunc(arr) != arr).any()):
         raise ValueError("order must contain integers")
     if not np.array_equal(np.sort(arr), np.arange(arr.size)):
-        typed = repr(np.asarray(order, dtype=object).tolist())
-        raise ValueError(f"order {_clip(typed)} is not a permutation of 0..{arr.size - 1}")
+        typed = _echo(np.asarray(order, dtype=object).tolist())
+        raise ValueError(f"order {typed} is not a permutation of 0..{arr.size - 1}")
     return arr.astype(np.int64)
 
 

@@ -232,8 +232,8 @@ MUTANTS = (
     ),
     Mutant(
         "decay.py",
-        "if any(isinstance(value, bool) for value in values):",
-        "if False:",
+        "and not isinstance(value, bool)",
+        "and True",
         "killed",
         "a bool passes the range checks as the number it stands for",
     ),
@@ -302,6 +302,28 @@ MUTANTS = (
         '"analytic", 0.0, 5e-14',
         "killed",
         "a deterministic report with a non-zero standard error",
+    ),
+    # the one reading of a scalar input
+    Mutant(
+        "decay.py",
+        "return math.inf if value > 0 else -math.inf",
+        "return math.nan",
+        "killed",
+        "an int beyond the float range reads as NaN, not as an infinity",
+    ),
+    Mutant(
+        "analysis.py",
+        '("low", low)',
+        '("low", self.low)',
+        "killed",
+        "PopulationModel keeps low as given, not as the float that it checked",
+    ),
+    Mutant(
+        "decay.py",
+        "and value >= minimum)",
+        "and value >= 0)",
+        "killed",
+        "the integer check ignores its minimum, so n = 0 and trials = 0 pass",
     ),
 )
 

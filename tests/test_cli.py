@@ -170,6 +170,12 @@ class TestParseScenario:
         with pytest.raises(ValueError, match=field + " must be a finite number"):
             parse_scenario(document)
 
+    def test_an_int_beyond_the_float_range_reads_as_inf(self):
+        document = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1%s}}'
+        with pytest.raises(ValueError) as info:
+            parse_scenario(document % ("0" * 400))
+        assert str(info.value) == "decay.rate must be a finite number, got inf"
+
     def test_rejects_malformed_documents(self):
         with pytest.raises(ValueError, match="not valid JSON"):
             parse_scenario("{nope")
@@ -1062,8 +1068,16 @@ class TestCliNeverCrashes:
             (["evaluate", "--order=" + ",".join(["0"] * 20_000)],
              {"probabilities": [0.5] * 20_000, "decay": {"type": "multiplicative", "factor": 0.5}},
              "order"),
+            # the command line's own echoes
+            (["evaluate", "--order=" + "x" * 100_000], {}, "--order must be"),
+            (["simulate", "--trials", "1" + "0" * 4_000], {}, "--trials must be at most"),
+            (["figure", "--out", "a" * 100_000 + ".txt"], {}, "--out path must end in"),
+            (["figure", "--out", "/nonexistent-directory/" + "/".join(["d" * 200] * 15) + ".csv"],
+             {}, "--out path must name a file"),
+            (["figure", "--out", "a" * 5_000 + ".csv"], {}, "[Errno"),
         ],
-        ids=["objective", "probability", "decay-type", "rate", "field", "decay-field", "order"],
+        ids=["objective", "probability", "decay-type", "rate", "field", "decay-field", "order",
+             "order-spec", "trials", "out-suffix", "out-directory", "out-os-error"],
     )
     def test_a_huge_value_is_one_short_error_line(self, command, changes, field, monkeypatch,
                                                    capsys):
@@ -1074,6 +1088,27 @@ class TestCliNeverCrashes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {field}") and err.count("\n") == 1, err[:300]
         assert len(err.encode()) < 300, err[:300]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["positivity", "--n", "1" * 5_000],
+            ["positivity", "--n", "1" * 4_000],
+            ["simulate", "--trials", "1" + "0" * 5_000],
+            ["simulate", "--seed", "-" + "1" * 4_000],
+            ["figure", "--low", "x" * 5_000],
+        ],
+        ids=["n-too-long-for-int", "n-too-large", "trials-too-long-for-int", "seed-negative",
+             "low-not-a-float"],
+    )
+    def test_a_huge_argument_is_one_short_error_line(self, argv, capsys):
+        # argparse prints its usage first; the one error line cuts the echoed value
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert errors == err.splitlines()[-1:], err[:300]
+        assert errors[0].startswith(f"decaysched {argv[0]}: error: argument {argv[1]}: ")
+        assert len(errors[0].encode()) < 300, errors[0][:300]
 
     def test_a_negative_order_fails_in_either_spelling(self, monkeypatch, capsys):
         # argparse reads "-1,0,1,2" after a space as an option, so only the "="

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,11 @@ from decaysched import (
     PopulationModel,
     ProbabilityVector,
     evaluate_order,
+    positivity_report,
+    positivity_report_montecarlo,
+    sort_order,
 )
-from decaysched.decay import _linear_drops
+from decaysched.decay import _echo, _linear_drops
 from decaysched.scheduler import _as_permutation
 
 probability_lists = st.lists(
@@ -213,6 +218,90 @@ class TestStageProbabilitiesDispatch:
 def test_a_value_that_is_not_a_number_is_named(build, message, value):
     with pytest.raises(ValueError, match=message):
         build(value)
+
+
+# each scalar is read once, into the Python float or int that its record keeps:
+# an int beyond the float range reads as inf, anything else that is no number as NaN
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: AdditiveDecay(10**400, 3), "decay rate must be a finite number >= 0, got 1000"),
+        (lambda: AdditiveDecay(np.array([0.1]), 3),
+         "decay rate must be a finite number >= 0, got [0.1]"),
+        (lambda: AdditiveDecay(np.True_, 3), "decay rate must be a finite number >= 0, got True"),
+        (lambda: PopulationModel(13, 0.5, 1, 10**400),
+         "decay_step must be a finite number >= 0, got 1000"),
+    ],
+    ids=["huge-int-rate", "array-rate", "numpy-bool-rate", "huge-int-decay-step"],
+)
+def test_a_scalar_that_is_no_finite_float_is_named(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
+def test_records_hold_python_floats_and_ints():
+    law = AdditiveDecay(np.float32(0.5), np.int64(3))
+    assert (type(law.rate), type(law.n)) == (float, int)
+    assert type(MultiplicativeDecay(Fraction(1, 2)).factor) is float
+    model = PopulationModel(np.int64(13), Fraction(1, 2), 1, np.float64(0.06))
+    assert model == PopulationModel(13, 0.5, 1.0, 0.06)
+    assert [type(value) for value in dataclasses.astuple(model)] == [int, float, float, float]
+
+
+def test_a_report_of_numpy_and_fraction_inputs_is_the_float_report():
+    report = positivity_report(PopulationModel(np.int64(13), Fraction(1, 2), 1, 0.06))
+    assert report == positivity_report(PopulationModel(13, 0.5, 1.0, 0.06))
+    values = (report.prob_strongest_first_positive, report.prob_weakest_first_positive)
+    assert [type(value) for value in values] == [float, float]
+
+
+# every echo of an input is one short line, also of a long list or of an int too
+# long for Python to write out (over 4,300 digits)
+LONG = list(range(100_000))
+HUGE = 10**5000
+SMALL_MODEL = PopulationModel(3, 0.5, 1.0, 0.1)
+ENTRY_POINTS = [
+    ("rate", lambda v: AdditiveDecay(v, 3), "decay rate must be a finite number >= 0, got ",
+     (LONG, HUGE, -HUGE)),
+    ("factor", MultiplicativeDecay,
+     "multiplicative factor must lie strictly between 0 and 1, got ", (LONG, HUGE, -HUGE)),
+    ("low", lambda v: PopulationModel(3, v, 1.0, 0.1),
+     "bounds must satisfy 0 <= low < high <= 1, got low=", (LONG, HUGE, -HUGE)),
+    ("n", lambda v: AdditiveDecay(0.1, v), "n must be a positive integer, got ", (LONG, -HUGE)),
+    ("trials", lambda v: positivity_report_montecarlo(SMALL_MODEL, v, 0),
+     "trials must be a positive integer, got ", (LONG, -HUGE)),
+    ("seed", lambda v: positivity_report_montecarlo(SMALL_MODEL, 10, v),
+     "seed must be a non-negative integer, got ", (LONG, -HUGE)),
+    ("order-entry", lambda v: evaluate_order([0.5, 0.5], [v, 0], MultiplicativeDecay(0.5)),
+     "order [", (HUGE, -HUGE)),
+    ("direction", lambda v: sort_order([0.5], v),
+     "direction must be 'ascending' or 'descending', got ", (LONG, HUGE, -HUGE)),
+]
+
+
+@pytest.mark.parametrize(
+    "build,wording,value",
+    [(build, wording, value) for _, build, wording, values in ENTRY_POINTS for value in values],
+    ids=[
+        f"{name}-{'list' if value is LONG else 'huge' if value > 0 else 'minus-huge'}"
+        for name, _, _, values in ENTRY_POINTS
+        for value in values
+    ],
+)
+def test_an_echoed_input_is_one_short_line(build, wording, value):
+    with pytest.raises(ValueError) as info:
+        build(value)
+    message = str(info.value)
+    assert message.startswith(wording) and "\n" not in message, message[:300]
+    assert len(message) < 300, message[:300]
+
+
+@pytest.mark.parametrize("power", [4301, 5000, 12_345])
+def test_an_int_too_long_to_write_out_shows_its_digit_count(power):
+    assert _echo(10**power) == f"<int of {power + 1} digits>"
+    assert _echo(1 - 10**power, str) == f"<negative int of {power} digits>"
+    assert _echo([0, 10**power]) == f"[0, <int of {power + 1} digits>]"
 
 
 def test_decayed_values_have_two_producers():

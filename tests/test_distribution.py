@@ -74,6 +74,34 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector(np.array([np.nan]))
 
+    # an entry is read as a scalar input is: a bool, a string, a complex number
+    # or None is not a number, and an int beyond the float range reads as inf
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            (["0.5"], "probabilities[0] must be a number, got '0.5'"),
+            ([True, False], "probabilities[0] must be a number, got True"),
+            ([0.5, 1 + 0j], "probabilities[1] must be a number, got (1+0j)"),
+            ([0.5, 0.5, None], "probabilities[2] must be a number, got None"),
+            (np.array([True]), "probabilities[0] must be a number, got True"),
+            ([[0.5], [0.5, 0.5]], "probabilities[0] must be a number, got [0.5]"),
+            ([0.5, 10**400], "probabilities[1] = inf is outside [0, 1]"),
+            ([-(10**5000)], "probabilities[0] = -inf is outside [0, 1]"),
+        ],
+        ids=["str", "bool", "complex", "None", "bool-array", "ragged", "huge-int",
+             "minus-huge-int"],
+    )
+    def test_rejects_an_entry_that_is_not_a_probability(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            ProbabilityVector(entries)
+        assert str(info.value) == message
+
+    def test_reads_every_kind_of_real_number(self):
+        entries = [Fraction(1, 2), np.float32(0.25), 1, np.int64(0), -0.0]
+        assert ProbabilityVector(entries).probs.tolist() == [0.5, 0.25, 1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="one-dimensional, got shape \\(1, 1\\)"):
+            ProbabilityVector([["x"]])
+
     def test_coercion_passthrough(self):
         pv = ProbabilityVector(np.array([0.5]))
         assert _as_probability_vector(pv) is pv
