@@ -6,7 +6,8 @@ per-stage step ``d``.  The item served at stage ``k`` keeps a strictly
 positive probability iff its initial value exceeds the stage threshold
 ``c_k = d * (k - 1)``.  This module computes the probability that *no* item
 is clamped to zero ("positivity") for the strongest-first and weakest-first
-strategies: by closed forms (both) and by seeded Monte Carlo (both).
+strategies: by closed forms (both) and by seeded Monte Carlo (both).  It
+also draws a seeded population and tabulates its decay stage by stage.
 
 Weakest-first serves the k-th smallest draw at stage k, so positivity is a
 lower-boundary probability for uniform order statistics: with the draws
@@ -33,11 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _echo, _integer, _linear_drops, _real
+from .decay import AdditiveDecay, _echo, _integer, _linear_drops, _real
+from .scheduler import stage_item_matrix
 
 __all__ = [
+    "MAX_SIMULATED_DRAWS",
     "PopulationModel",
     "PositivityReport",
+    "generate_figure_matrix",
     "positivity_report",
     "positivity_report_montecarlo",
 ]
@@ -61,6 +65,9 @@ _STIRLERR = np.array([
     0.005951370112758847735624416,
     0.005554733551962801371038690,
 ])
+
+# largest trials * n of one simulation: about 15 s at 12-16 ns per draw
+MAX_SIMULATED_DRAWS = 10**9
 
 # draws per Monte Carlo block: 2**16 float64 values (512 kB) stay in cache;
 # the seeded stream does not depend on the block size
@@ -223,6 +230,21 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(_integer(seed, "seed", 0))
 
 
+def generate_figure_matrix(model: PopulationModel, seed: int) -> np.ndarray:
+    """Draw the model's n initial probabilities and tabulate decayed values.
+
+    Returns the read-only float64 ``stage_item_matrix`` of the draws sorted
+    ascending: entry ``(i, j)`` is ``(P0(j) - decay_step * i)^+``, so row 0
+    holds the draws themselves, the weakest item sits in column 0, rows
+    ascend and columns fade down the stages.  Each draw lies in [low,
+    high].  Deterministic for a given seed, which must be a non-negative
+    integer and not a bool.
+    """
+    rng = _seeded_rng(seed)
+    draws = np.sort(rng.uniform(model.low, model.high, size=model.n))
+    return stage_item_matrix(draws, AdditiveDecay(model.decay_step, model.n))
+
+
 def _count_positive_trials(draws: np.ndarray, thresholds: np.ndarray) -> tuple[int, int]:
     """Count rows whose sorted values strictly exceed per-stage thresholds.
 
@@ -262,9 +284,17 @@ def positivity_report_montecarlo(
     Bit-reproducible for a given ``(model, trials, seed)``: draws come from
     a PCG64 generator seeded explicitly, consumed in a fixed order
     regardless of blocking.  ``trials`` must be a positive integer and
-    ``seed`` a non-negative one; neither may be a bool.
+    ``seed`` a non-negative one; neither may be a bool.  ``trials * n`` may
+    not exceed ``MAX_SIMULATED_DRAWS``: a larger count is refused before
+    anything is drawn.
     """
     trials = _integer(trials, "trials", 1)
+    limit = MAX_SIMULATED_DRAWS // model.n
+    if trials > limit:
+        raise ValueError(
+            f"trials must be at most {limit} at n = {model.n} "
+            f"({MAX_SIMULATED_DRAWS} draws in all), got {_echo(trials)}"
+        )
     rng = _seeded_rng(seed)
     thresholds = _linear_drops(model.decay_step, model.n)
     ascending = descending = 0

@@ -1,4 +1,4 @@
-"""Command-line front end: argument handling and the five subcommands.
+"""Command-line front end: argument handling, the five subcommands and every output format.
 
 Subcommands: ``evaluate`` (metrics for one order), ``optimize`` (exhaustive
 or sorted-order search), ``simulate`` (Monte Carlo positivity for both
@@ -8,7 +8,8 @@ service strategies), ``positivity`` (closed forms for both strategies), and
 ``decaysched.scenario``); all item indices on the command line are 0-based.
 Every subcommand accepts ``--format structured`` for canonical JSON output
 (sorted keys, compact separators) that is byte-identical across runs for
-identical arguments and seeds.
+identical arguments and seeds.  The library returns arrays and records;
+this module renders them as text, JSON, CSV or SVG.
 
 Exit status: 0 on success, 2 on any validation failure (the message names
 the offending field), 1 on internal errors.
@@ -26,7 +27,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import analysis
-from .figure import figure_csv, figure_svg, generate_figure_matrix
 from .scenario import ScenarioConfig, parse_scenario
 from .scheduler import (
     BRUTE_FORCE_MAX_ITEMS,
@@ -45,11 +45,13 @@ __all__ = ["build_parser", "main"]
 _MAX_POPULATION_N = 10_000
 _MAX_FIGURE_N = 1_000
 
-# largest trials * n for simulate: about 15 s at 12-16 ns per draw
-_MAX_SIMULATED_DRAWS = 10**9
-
 # most characters of an argument that an error message echoes, as in the library's messages
 _ECHO_LIMIT = 100
+
+_CSV_DECIMALS = 6
+
+# one grid cell of the SVG heatmap, in user units
+_SVG_CELL = 24.0
 
 
 def _cut(text: str) -> str:
@@ -73,6 +75,52 @@ def _emit(payload: Mapping[str, object], fmt: str) -> None:
     else:
         for key, value in payload.items():
             print(f"{key}: {_format_value(value)}")
+
+
+def _figure_csv(matrix: np.ndarray, header: bool = False) -> str:
+    """CSV rendering: one row per stage, 6 fixed decimal places.
+
+    With ``header`` a label row (``stage,item_1,...``) is prepended and each
+    data row gains a leading 1-based stage number.
+    """
+    lines = []
+    if header:
+        lines.append("stage," + ",".join(f"item_{j + 1}" for j in range(matrix.shape[1])))
+    # one %-format per row: formatting cell by cell dominates at large n
+    row_format = ",".join([f"%.{_CSV_DECIMALS}f"] * matrix.shape[1])
+    for i, row in enumerate(matrix):
+        cells = row_format % tuple(row.tolist())
+        lines.append(f"{i + 1},{cells}" if header else cells)
+    return "\n".join(lines) + "\n"
+
+
+def _figure_svg(matrix: np.ndarray) -> str:
+    """SVG heatmap: one square per cell, bigger and darker as the value grows.
+
+    Side length and gray level are both affine in the cell value (side from 0
+    to the full cell, fill from white down to black), so zero-probability
+    cells vanish into the white background.  Output is deterministic.
+    """
+    n = len(matrix)
+    size = n * _SVG_CELL
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:g}" height="{size:g}" '
+        f'viewBox="0 0 {size:g} {size:g}">',
+        f'<rect width="{size:g}" height="{size:g}" fill="white"/>',
+    ]
+    for i in range(n):
+        for j in range(n):
+            v = float(matrix[i, j])
+            side = v * _SVG_CELL
+            x = j * _SVG_CELL + (_SVG_CELL - side) / 2.0
+            y = i * _SVG_CELL + (_SVG_CELL - side) / 2.0
+            gray = int(round(255.0 * (1.0 - v)))
+            parts.append(
+                f'<rect x="{x:.3f}" y="{y:.3f}" width="{side:.3f}" height="{side:.3f}" '
+                f'fill="rgb({gray},{gray},{gray})"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
@@ -140,12 +188,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _population(args)
-    limit = _MAX_SIMULATED_DRAWS // model.n
-    if args.trials > limit:
-        raise ValueError(
-            f"--trials must be at most {limit} at --n {model.n} "
-            f"({_MAX_SIMULATED_DRAWS} draws in all), got {_cut(str(args.trials))}"
-        )
     report = analysis.positivity_report_montecarlo(model, args.trials, args.seed)
     _emit(
         {
@@ -191,13 +233,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--out path must name a file in an existing directory, got {_cut(repr(out))}"
             )
-    matrix = generate_figure_matrix(model, args.seed)
+    matrix = analysis.generate_figure_matrix(model, args.seed)
     for out in outs:
         path = Path(out)
         if path.suffix.lower() == ".csv":
-            path.write_text(figure_csv(matrix, header=args.header))
+            path.write_text(_figure_csv(matrix, header=args.header))
         else:
-            path.write_text(figure_svg(matrix))
+            path.write_text(_figure_svg(matrix))
     if args.format == "structured":
         _emit(
             {
@@ -209,7 +251,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             args.format,
         )
     elif not args.out:
-        sys.stdout.write(figure_csv(matrix, header=args.header))
+        sys.stdout.write(_figure_csv(matrix, header=args.header))
     return 0
 
 
@@ -321,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=_bounded_int(),
         default=100_000,
-        help=f"Monte Carlo trials, with trials * n at most {_MAX_SIMULATED_DRAWS} "
-        "(default: 100000)",
+        help="Monte Carlo trials, with trials * n at most "
+        f"{analysis.MAX_SIMULATED_DRAWS} (default: 100000)",
     )
     _add_seed_flag(p_sim)
     _add_format_flag(p_sim)

@@ -259,7 +259,7 @@ MUTANTS = (
         "stage_item_matrix returns a writeable array",
     ),
     Mutant(
-        "figure.py",
+        "analysis.py",
         "draws = np.sort(rng.uniform(model.low, model.high, size=model.n))",
         "draws = rng.uniform(model.low, model.high, size=model.n)",
         "killed",
@@ -324,6 +324,14 @@ MUTANTS = (
         "and value >= 0)",
         "killed",
         "the integer check ignores its minimum, so n = 0 and trials = 0 pass",
+    ),
+    # the simulation's own bound
+    Mutant(
+        "analysis.py",
+        "if trials > limit:",
+        "if False:",
+        "killed",
+        "the draw budget never fires, so a huge trial count runs for ever",
     ),
 )
 

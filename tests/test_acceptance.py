@@ -18,13 +18,13 @@ from decaysched import (
     PopulationModel,
     brute_force_optimal,
     evaluate_order,
-    figure_csv,
     generate_figure_matrix,
     positivity_report,
     positivity_report_montecarlo,
     sort_order,
     success_count_pmf,
 )
+from decaysched.cli import _figure_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -165,5 +165,5 @@ def test_criterion_7_figure_matrix_reproduction():
         )
     golden = (DATA_DIR / "figure_seed1729.csv").read_text()
     pinned = generate_figure_matrix(REFERENCE_MODEL, 1729)
-    ok = ok and figure_csv(pinned) == golden
+    ok = ok and _figure_csv(pinned) == golden
     _verdict(7, "figure matrix reproduction", ok)

@@ -517,6 +517,34 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
             positivity_report_montecarlo(REFERENCE_MODEL, trials, 0)
 
+    @pytest.mark.parametrize(
+        "model,trials,shown",
+        [
+            (PopulationModel(3, 0.5, 1.0, 0.1), 10**5000, "<int of 5001 digits>"),
+            (REFERENCE_MODEL, 76_923_077, "76923077"),
+            (PopulationModel(10_000, 0.5, 1.0, 0.0), 100_001, "100001"),
+        ],
+        ids=["huge", "limit-plus-one-n13", "limit-plus-one-n10000"],
+    )
+    def test_refuses_more_than_the_draw_budget_before_drawing(self, model, trials, shown,
+                                                               monkeypatch):
+        # past 10**9 draws a call would run for minutes, or for ever
+        counted = []
+
+        def count(draws, thresholds):
+            counted.append(len(draws))
+            raise AssertionError("a block was counted")
+
+        monkeypatch.setattr(analysis, "_count_positive_trials", count)
+        limit = analysis.MAX_SIMULATED_DRAWS // model.n
+        message = (
+            f"trials must be at most {limit} at n = {model.n} "
+            f"(1000000000 draws in all), got {shown}"
+        )
+        with pytest.raises(ValueError) as raised:
+            positivity_report_montecarlo(model, trials, 0)
+        assert (str(raised.value), counted) == (message, [])
+
     def test_accepts_numpy_integer_trials(self):
         report = positivity_report_montecarlo(REFERENCE_MODEL, np.int64(1_000), 0)
         assert report == positivity_report_montecarlo(REFERENCE_MODEL, 1_000, 0)

@@ -24,8 +24,6 @@ from decaysched import (
     ProbabilityVector,
     ScenarioConfig,
     evaluate_order,
-    figure_csv,
-    figure_svg,
     generate_figure_matrix,
     parse_scenario,
     positivity_report,
@@ -34,7 +32,7 @@ from decaysched import (
     stage_item_matrix,
 )
 import decaysched
-from decaysched.cli import main
+from decaysched.cli import _figure_csv, _figure_svg, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -395,11 +393,11 @@ class TestFigureRendering:
         return stage_item_matrix([0.25, 0.75], AdditiveDecay(0.5, 2))
 
     def test_csv_fixed_precision(self):
-        assert figure_csv(self.hand_matrix()) == "0.250000,0.750000\n0.000000,0.250000\n"
+        assert _figure_csv(self.hand_matrix()) == "0.250000,0.750000\n0.000000,0.250000\n"
 
     def test_csv_header_labels(self):
         want = "stage,item_1,item_2\n1,0.250000,0.750000\n2,0.000000,0.250000\n"
-        assert figure_csv(self.hand_matrix(), header=True) == want
+        assert _figure_csv(self.hand_matrix(), header=True) == want
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -420,21 +418,21 @@ class TestFigureRendering:
             cells = ",".join(format(v, ".6f") for v in row)
             lines.append(f"{i + 1},{cells}" if header else cells)
         want = "\n".join(lines if header else lines[1:]) + "\n"
-        assert figure_csv(matrix, header=header) == want
+        assert _figure_csv(matrix, header=header) == want
 
     def test_csv_golden_file(self):
         matrix = generate_figure_matrix(figure_model(13), seed=1729)
         golden = (DATA_DIR / "figure_seed1729.csv").read_text()
-        assert figure_csv(matrix) == golden
+        assert _figure_csv(matrix) == golden
 
     def test_svg_one_square_per_cell(self):
-        svg = figure_svg(self.hand_matrix())
+        svg = _figure_svg(self.hand_matrix())
         assert svg.count("<rect") == 2 * 2 + 1  # cells plus background
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
 
     def test_svg_size_and_darkness_track_value(self):
-        svg = figure_svg(self.hand_matrix())
+        svg = _figure_svg(self.hand_matrix())
         # zero cell vanishes; 0.75 cell is bigger and darker than 0.25 cell
         assert 'width="0.000"' in svg
         assert 'fill="rgb(255,255,255)"' in svg
@@ -443,7 +441,7 @@ class TestFigureRendering:
 
     def test_svg_deterministic(self):
         matrix = generate_figure_matrix(figure_model(6), seed=5)
-        assert figure_svg(matrix) == figure_svg(matrix)
+        assert _figure_svg(matrix) == _figure_svg(matrix)
 
 
 class TestCliEvaluate:
@@ -785,20 +783,30 @@ class TestCliSimulateAndPositivity:
         "n,limit", [(10_000, 100_000), (13, 76_923_076)], ids=["n10000", "n13"]
     )
     def test_simulate_trials_budget(self, n, limit, monkeypatch, capsys):
-        # trials * n may reach 10**9 draws; nothing is drawn for a call past it
-        calls = []
+        # trials * n may reach 10**9 draws; the library refuses a call past it
+        # before any block is counted.  A stub generator and counter keep the
+        # call at the limit from drawing 10**9 values
+        rows = []
 
-        def simulate(model, trials, seed):
-            calls.append(trials)
-            return decaysched.analysis.PositivityReport(1.0, 1.0, "montecarlo")
+        class Generator:
+            def uniform(self, low, high, size):
+                return np.broadcast_to(high, size)
 
-        monkeypatch.setattr(decaysched.analysis, "positivity_report_montecarlo", simulate)
+        def count(draws, thresholds):
+            rows.append(len(draws))
+            return len(draws), len(draws)
+
+        monkeypatch.setattr(decaysched.analysis, "_seeded_rng", lambda seed: Generator())
+        monkeypatch.setattr(decaysched.analysis, "_count_positive_trials", count)
         argv = ["simulate", "--n", str(n), "--trials"]
         code, out, err = run_cli([*argv, str(limit + 1)], capsys)
-        assert (code, out, calls) == (2, "", [])
-        assert f"--trials must be at most {limit} at --n {n}" in err
+        assert (code, out, rows) == (2, "", [])
+        assert err == (
+            f"error: trials must be at most {limit} at n = {n} (1000000000 draws in all), "
+            f"got {limit + 1}\n"
+        )
         assert run_cli([*argv, str(limit)], capsys)[0] == 0
-        assert calls == [limit]
+        assert sum(rows) == limit
 
     @pytest.mark.parametrize("argv", [["simulate", "--trials", "10"], ["figure", "--n", "4"]],
                              ids=["simulate", "figure"])
@@ -827,14 +835,14 @@ class TestCliFigure:
         assert code == 0
         assert out == ""
         matrix = generate_figure_matrix(figure_model(5), seed=3)
-        assert csv_path.read_text() == figure_csv(matrix)
-        assert svg_path.read_text() == figure_svg(matrix)
+        assert csv_path.read_text() == _figure_csv(matrix)
+        assert svg_path.read_text() == _figure_svg(matrix)
 
     def test_stdout_csv_when_no_out(self, capsys):
         code, out, _ = run_cli(["figure", "--seed", "3", "--n", "4", "--header"], capsys)
         assert code == 0
         matrix = generate_figure_matrix(figure_model(4), seed=3)
-        assert out == figure_csv(matrix, header=True)
+        assert out == _figure_csv(matrix, header=True)
 
     def test_structured_payload_round_trips_cells(self, capsys):
         code, out, _ = run_cli(
@@ -1070,7 +1078,7 @@ class TestCliNeverCrashes:
              "order"),
             # the command line's own echoes
             (["evaluate", "--order=" + "x" * 100_000], {}, "--order must be"),
-            (["simulate", "--trials", "1" + "0" * 4_000], {}, "--trials must be at most"),
+            (["simulate", "--trials", "1" + "0" * 4_000], {}, "trials must be at most"),
             (["figure", "--out", "a" * 100_000 + ".txt"], {}, "--out path must end in"),
             (["figure", "--out", "/nonexistent-directory/" + "/".join(["d" * 200] * 15) + ".csv"],
              {}, "--out path must name a file"),
