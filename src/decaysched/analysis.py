@@ -38,6 +38,7 @@ from .decay import AdditiveDecay, _echo, _integer, _linear_drops, _real
 from .scheduler import stage_item_matrix
 
 __all__ = [
+    "MAX_POPULATION_N",
     "MAX_SIMULATED_DRAWS",
     "PopulationModel",
     "PositivityReport",
@@ -66,6 +67,10 @@ _STIRLERR = np.array([
     0.005554733551962801371038690,
 ])
 
+# largest n of a population: it bounds the draws of each simulated trial and
+# the range the tests cover, not positivity's cost (about 1.5 ms at 10**4)
+MAX_POPULATION_N = 10_000
+
 # largest trials * n of one simulation: about 15 s at 12-16 ns per draw
 MAX_SIMULATED_DRAWS = 10**9
 
@@ -85,6 +90,8 @@ class PopulationModel:
 
     def __post_init__(self) -> None:
         n = _integer(self.n, "n", 1)
+        if n > MAX_POPULATION_N:
+            raise ValueError(f"n must be at most {MAX_POPULATION_N}, got {_echo(n)}")
         low, high, step = _real(self.low), _real(self.high), _real(self.decay_step)
         if not 0.0 <= low < high <= 1.0:
             raise ValueError(

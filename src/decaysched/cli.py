@@ -39,10 +39,8 @@ from .scheduler import (
 
 __all__ = ["build_parser", "main"]
 
-# largest --n of simulate and positivity: it bounds the draws of each simulated
-# trial and the range the tests cover, not positivity's cost (about 1.5 ms at
-# 10**4); a figure holds n**2 cells (CSV at n = 3000: about 10 s and 340 MB)
-_MAX_POPULATION_N = 10_000
+# largest --n of figure: a figure holds n**2 cells (CSV at n = 3000: about 10 s
+# and 340 MB); the library bounds every other input
 _MAX_FIGURE_N = 1_000
 
 # most characters of an argument that an error message echoes, as in the library's messages
@@ -221,10 +219,12 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    # before any file is written: the figure's size, and each path must end
+    # in .csv or .svg, name no directory and sit in a directory that exists
+    if args.n > _MAX_FIGURE_N:
+        raise ValueError(f"--n must be at most {_MAX_FIGURE_N}, got {_cut(str(args.n))}")
     model = _population(args)
     outs = args.out or []
-    # before any file is written, each path must end in .csv or .svg, name
-    # no directory and sit in a directory that exists
     for out in outs:
         path = Path(out)
         if path.suffix.lower() not in (".csv", ".svg"):
@@ -271,21 +271,12 @@ def _add_scenario_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _bounded_int(minimum: int | None = None, maximum: int | None = None):
-    """argparse type: an integer within the given bounds; ``None`` leaves that side unbounded."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {_cut(repr(text))}") from None
-        if minimum is not None and value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {_cut(str(value))}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {_cut(str(value))}")
-        return value
-
-    return parse
+def _int(text: str) -> int:
+    """argparse type: an int, whose range the library checks."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_cut(repr(text))}") from None
 
 
 def _float(text: str) -> float:
@@ -297,15 +288,13 @@ def _float(text: str) -> float:
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed", type=_bounded_int(minimum=0), default=0, help="RNG seed, >= 0 (default: 0)"
-    )
+    parser.add_argument("--seed", type=_int, default=0, help="RNG seed, >= 0 (default: 0)")
 
 
 def _add_population_flags(parser: argparse.ArgumentParser, max_n: int) -> None:
     parser.add_argument(
         "--n",
-        type=_bounded_int(maximum=max_n),
+        type=_int,
         default=13,
         help=f"population size, at most {max_n} (default: 13)",
     )
@@ -358,10 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", help="Monte Carlo positivity probability for both service strategies"
     )
-    _add_population_flags(p_sim, _MAX_POPULATION_N)
+    _add_population_flags(p_sim, analysis.MAX_POPULATION_N)
     p_sim.add_argument(
         "--trials",
-        type=_bounded_int(),
+        type=_int,
         default=100_000,
         help="Monte Carlo trials, with trials * n at most "
         f"{analysis.MAX_SIMULATED_DRAWS} (default: 100000)",
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos = sub.add_parser(
         "positivity", help="exact positivity report (closed forms)"
     )
-    _add_population_flags(p_pos, _MAX_POPULATION_N)
+    _add_population_flags(p_pos, analysis.MAX_POPULATION_N)
     _add_format_flag(p_pos)
     p_pos.set_defaults(func=_cmd_positivity)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,14 +100,14 @@ def _linear_drops(rate: float, n: int) -> np.ndarray:
 class AdditiveDecay:
     """Additive decay over ``n`` stages: stage ``i`` (1-based) drops ``rate * (i - 1)``.
 
-    ``decay_per_stage`` holds those ``n`` drops, computed once.  A drop that
+    The law keeps only ``rate`` and ``n``; its drops are computed where it is
+    applied, so a law of any length costs nothing to build.  A drop that
     overflows to inf clamps its stage to zero, as any drop beyond the item's
     probability does.
     """
 
     rate: float
     n: int
-    decay_per_stage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rate = _real(self.rate)
@@ -115,12 +115,15 @@ class AdditiveDecay:
             raise ValueError(
                 f"decay rate must be a finite number >= 0, got {_echo(self.rate, str)}"
             )
-        n = _integer(self.n, "n", 1)
-        drops = _linear_drops(rate, n)
-        drops.flags.writeable = False
         object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "decay_per_stage", drops)
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+
+    @property
+    def decay_per_stage(self) -> np.ndarray:
+        """The ``n`` drops, in a new read-only array."""
+        drops = _linear_drops(self.rate, self.n)
+        drops.flags.writeable = False
+        return drops
 
     @classmethod
     def linear(cls, rate: float, n: int) -> "AdditiveDecay":
@@ -166,4 +169,4 @@ def _decayed(p0: np.ndarray, stage: np.ndarray, decay: _DecaySpec) -> np.ndarray
         return p0 * decay.factor ** stage
     if decay.n != p0.size:
         raise ValueError(f"decay has {decay.n} stages, expected {p0.size}")
-    return np.maximum(p0 - decay.decay_per_stage[stage], 0.0)
+    return np.maximum(p0 - _linear_drops(decay.rate, p0.size)[stage], 0.0)

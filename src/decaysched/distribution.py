@@ -31,18 +31,19 @@ class ProbabilityVector:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.probs, np.ndarray) and self.probs.dtype.kind in "iuf"):
-            # each entry as ``_real`` reads it: a bool or a string is not a number;
-            # an input of another shape than one dimension is refused below
-            entries = np.asarray(self.probs, dtype=object)
-            for i, raw in enumerate(entries if entries.ndim == 1 else ()):
+        entries = self.probs
+        if not (isinstance(entries, np.ndarray) and entries.dtype.kind in "iuf"):
+            # nested lists become dimensions, up to numpy's 64, and ragged ones entries
+            entries = np.asarray(entries, dtype=object)
+        if entries.ndim != 1:
+            raise ValueError(f"probabilities must be one-dimensional, got shape {entries.shape}")
+        if entries.dtype.kind == "O":
+            # each entry as ``_real`` reads it: a bool or a string is not a number
+            for i, raw in enumerate(entries):
                 if not _is_number(raw):
                     raise ValueError(f"probabilities[{i}] must be a number, got {_echo(raw)}")
-            reals = [_real(raw) for raw in entries.flat]
-            object.__setattr__(self, "probs", np.reshape(reals, entries.shape))
+            object.__setattr__(self, "probs", [_real(raw) for raw in entries])
         arr = np.asarray(self.probs, dtype=np.float64) + 0.0
-        if arr.ndim != 1:
-            raise ValueError(f"probabilities must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("probabilities must contain at least one entry")
         inside = (arr >= 0.0) & (arr <= 1.0)

@@ -11,9 +11,10 @@ Scenario files are JSON objects::
 ``decay.type`` is ``additive`` (with ``rate`` >= 0, the per-stage linear
 step) or ``multiplicative`` (with ``factor`` strictly inside (0, 1)).
 ``objective`` is optional and defaults to ``expected``; no other key is
-accepted.  The parser checks the document's shape and that each number is
-finite; each value's range is checked once, by the type it builds
-(``ProbabilityVector``, ``AdditiveDecay``, ``MultiplicativeDecay``).
+accepted.  The parser checks the document's shape and that the decay law's
+number is finite; each value is checked once, by the type it builds
+(``ProbabilityVector``, ``AdditiveDecay``, ``MultiplicativeDecay``, and
+``ScenarioConfig`` for the objective).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .decay import (
     AdditiveDecay, MultiplicativeDecay, _check_law, _clip, _DecaySpec, _echo, _is_number, _real
 )
 from .distribution import ProbabilityVector, _as_probability_vector
-from .scheduler import Objective
+from .scheduler import Objective, _objective
 
 __all__ = ["ScenarioConfig", "parse_scenario", "serialize_scenario"]
 
@@ -44,22 +45,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probabilities", _as_probability_vector(self.probabilities))
-        object.__setattr__(self, "objective", Objective(self.objective))
+        object.__setattr__(self, "objective", _objective(self.objective))
         _check_law(self.decay)
         if isinstance(self.decay, AdditiveDecay) and self.decay.n != self.probabilities.n:
             raise ValueError(
                 f"decay has {self.decay.n} stages, expected {self.probabilities.n}"
             )
-
-
-def _require_number(value: object, field_name: str) -> float:
-    if not _is_number(value):
-        raise ValueError(f"{field_name} must be a number, got {_echo(value)}")
-    # json reads NaN, Infinity and integers too large for a float
-    number = _real(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{field_name} must be a finite number, got {number}")
-    return number
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -84,9 +75,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     raw_probs = doc["probabilities"]
     if not isinstance(raw_probs, list) or not raw_probs:
         raise ValueError("probabilities must be a non-empty array of numbers")
-    probabilities = ProbabilityVector(
-        [_require_number(raw, f"probabilities[{i}]") for i, raw in enumerate(raw_probs)]
-    )
+    probabilities = ProbabilityVector(raw_probs)
 
     if "decay" not in doc:
         raise ValueError("scenario is missing the 'decay' field")
@@ -105,22 +94,19 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ValueError(f"unknown {decay_type} decay field(s): {_clip(', '.join(sorted(extra)))}")
     if key not in raw_decay:
         raise ValueError(f"{decay_type} decay requires a '{key}' field")
-    value = _require_number(raw_decay[key], f"decay.{key}")
+    raw = raw_decay[key]
+    if not _is_number(raw):
+        raise ValueError(f"decay.{key} must be a number, got {_echo(raw)}")
+    # json reads NaN, Infinity and integers too large for a float
+    value = _real(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"decay.{key} must be a finite number, got {value}")
     if decay_type == "additive":
         decay: _DecaySpec = AdditiveDecay(value, probabilities.n)
     else:
         decay = MultiplicativeDecay(value)
 
-    objective = Objective.EXPECTED_SUCCESSES
-    if "objective" in doc:
-        try:
-            objective = Objective(doc["objective"])
-        except ValueError:
-            raise ValueError(
-                f"objective must be 'expected' or 'all', got {_echo(doc['objective'])}"
-            ) from None
-
-    return ScenarioConfig(probabilities, decay, objective)
+    return ScenarioConfig(probabilities, decay, doc.get("objective", Objective.EXPECTED_SUCCESSES))
 
 
 def serialize_scenario(config: ScenarioConfig) -> str:

@@ -56,6 +56,14 @@ class Objective(enum.Enum):
     PROB_ALL_SUCCESS = "all"
 
 
+def _objective(value: object) -> Objective:
+    """``value`` as an ``Objective``: a member, or its value ``'expected'`` or ``'all'``."""
+    try:
+        return Objective(value)
+    except ValueError:
+        raise ValueError(f"objective must be 'expected' or 'all', got {_echo(value)}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleMetrics:
     """Success metrics of one evaluated service order.
@@ -83,7 +91,7 @@ class ScheduleMetrics:
         return _convolved_pmf(self.stage_probabilities)
 
     def value(self, objective: Objective) -> float:
-        if Objective(objective) is Objective.EXPECTED_SUCCESSES:
+        if _objective(objective) is Objective.EXPECTED_SUCCESSES:
             return self.expected_successes
         return self.prob_all_success
 
@@ -256,7 +264,7 @@ def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np
     lexicographically smallest order.  Limited to n <= ``BRUTE_FORCE_MAX_ITEMS``.
     """
     pv = _as_probability_vector(p0)
-    objective = Objective(objective)
+    objective = _objective(objective)
     if pv.n > BRUTE_FORCE_MAX_ITEMS:
         raise ValueError(
             f"exhaustive search is limited to n <= {BRUTE_FORCE_MAX_ITEMS} items, got n = {pv.n}"
@@ -278,7 +286,7 @@ def recommended_order(decay: _DecaySpec, objective: Objective) -> OrderStrategy:
     whose stage factors multiply to ``factor**(n*(n-1)/2)`` whatever the
     order.
     """
-    objective = Objective(objective)
+    objective = _objective(objective)
     _check_law(decay)
     if objective is Objective.EXPECTED_SUCCESSES:
         return "descending"

@@ -35,7 +35,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 
 # the goldens, then the kernels and the modules whose results are records;
-# the figure's and the scenario document's tests live with the CLI's
+# the figure's and the scenario document's tests live with the CLI's, and so
+# does the test of the figure's own size check
 GATES = (
     "tests/test_cli_golden.py",
     "tests/test_library_golden.py",
@@ -45,6 +46,7 @@ GATES = (
     "tests/test_decay.py",
     "tests/test_scheduler.py",
     "tests/test_cli.py::TestFigureMatrix",
+    "tests/test_cli.py::TestCliFigure",
     "tests/test_cli.py::TestParseScenario",
     "tests/test_cli.py::TestScenarioRoundTrip",
 )
@@ -332,6 +334,29 @@ MUTANTS = (
         "if False:",
         "killed",
         "the draw budget never fires, so a huge trial count runs for ever",
+    ),
+    # the limits on a population's size, each checked once
+    Mutant(
+        "analysis.py",
+        "if n > MAX_POPULATION_N:",
+        "if False:",
+        "killed",
+        "PopulationModel takes any n, so numpy fails later without naming the field",
+    ),
+    Mutant(
+        "cli.py",
+        "if args.n > _MAX_FIGURE_N:",
+        "if False:",
+        "killed",
+        "figure renders any population the library accepts, up to 10**8 cells",
+    ),
+    # the one reading of an objective
+    Mutant(
+        "scheduler.py",
+        "except ValueError:",
+        "except TypeError:",
+        "killed",
+        "an unknown objective raises the enum's own error, which echoes it whole",
     ),
 )
 

@@ -46,6 +46,21 @@ class TestPopulationModel:
         with pytest.raises(ValueError, match="positive integer"):
             PopulationModel(n=True, low=0.0, high=1.0, decay_step=0.1)
 
+    def test_n_is_at_most_its_public_limit(self):
+        assert analysis.MAX_POPULATION_N == 10_000
+        assert PopulationModel(10_000, 0.5, 1.0, 0.06).n == 10_000
+        # refused as it is read, before anything of size n is allocated
+        tracemalloc.start()
+        try:
+            for n, shown in ((10_001, "10001"), (10**19, "10000000000000000000")):
+                with pytest.raises(ValueError) as info:
+                    PopulationModel(n, 0.5, 1.0, 0.06)
+                assert str(info.value) == f"n must be at most 10000, got {shown}"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     @pytest.mark.parametrize(
         "low,high", [(0.5, 0.5), (0.7, 0.5), (-0.1, 0.5), (0.5, 1.1)]
     )

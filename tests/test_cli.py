@@ -23,10 +23,12 @@ from decaysched import (
     PopulationModel,
     ProbabilityVector,
     ScenarioConfig,
+    brute_force_optimal,
     evaluate_order,
     generate_figure_matrix,
     parse_scenario,
     positivity_report,
+    recommended_order,
     serialize_scenario,
     sort_order,
     stage_item_matrix,
@@ -150,23 +152,39 @@ class TestParseScenario:
             parse_scenario('{"probabilities": [0.5], "decay": {"type": "additive", "rate": "x"}}')
 
     @pytest.mark.parametrize(
-        "document,field",
+        "document,message",
         [
-            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": NaN}}', r"decay\.rate"),
-            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1e999}}', r"decay\.rate"),
+            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": NaN}}',
+             r"decay\.rate must be a finite number"),
+            ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1e999}}',
+             r"decay\.rate must be a finite number"),
+            # ProbabilityVector reads each probability, and its range check refuses these
             ('{"probabilities": [NaN], "decay": {"type": "additive", "rate": 0.1}}',
-             r"probabilities\[0\]"),
+             r"probabilities\[0\] = nan is outside \[0, 1\]"),
+            ('{"probabilities": [0.5, Infinity], "decay": {"type": "additive", "rate": 0.1}}',
+             r"probabilities\[1\] = inf is outside \[0, 1\]"),
+            ('{"probabilities": [0.5, 1' + "0" * 400 + '], "decay": {"type": "additive", '
+             '"rate": 0.1}}', r"probabilities\[1\] = inf is outside \[0, 1\]"),
             ('{"probabilities": [0.5], "decay": {"type": "multiplicative", "factor": -Infinity}}',
-             r"decay\.factor"),
+             r"decay\.factor must be a finite number"),
             ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1' + "0" * 400 + "}}",
-             r"decay\.rate"),
+             r"decay\.rate must be a finite number"),
         ],
-        ids=["rate-nan", "rate-overflow", "probability-nan", "factor-minus-inf",
-             "rate-huge-int"],
+        ids=["rate-nan", "rate-overflow", "probability-nan", "probability-inf",
+             "probability-huge-int", "factor-minus-inf", "rate-huge-int"],
     )
-    def test_rejects_non_finite_numbers(self, document, field):
-        with pytest.raises(ValueError, match=field + " must be a finite number"):
+    def test_rejects_non_finite_numbers(self, document, message):
+        with pytest.raises(ValueError, match=message):
             parse_scenario(document)
+
+    @pytest.mark.parametrize("depth,shape", [(1, "(1, 2)"), (40, "(1, 1, 1, ")],
+                             ids=["nested", "deep"])
+    def test_a_nested_probability_list_is_a_shape_error(self, depth, shape):
+        probabilities = "[" * depth + "[0.5, 0.5]" + "]" * depth
+        with pytest.raises(ValueError) as info:
+            parse_scenario('{"probabilities": %s, "decay": {"type": "multiplicative", '
+                           '"factor": 0.5}}' % probabilities)
+        assert str(info.value).startswith(f"probabilities must be one-dimensional, got shape {shape}")
 
     def test_an_int_beyond_the_float_range_reads_as_inf(self):
         document = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1%s}}'
@@ -775,9 +793,12 @@ class TestCliSimulateAndPositivity:
         ids=["positivity", "simulate", "figure"],
     )
     def test_population_size_limit(self, argv, limit, capsys):
+        # one error line, no usage text: the library refuses a population over
+        # MAX_POPULATION_N, and the CLI a figure over its own cap
         code, out, err = run_cli([*argv, "--n", str(limit + 1)], capsys)
         assert (code, out) == (2, "")
-        assert f"argument --n: must be at most {limit}" in err
+        field = "--n" if argv == ["figure"] else "n"
+        assert err == f"error: {field} must be at most {limit}, got {limit + 1}\n"
 
     @pytest.mark.parametrize(
         "n,limit", [(10_000, 100_000), (13, 76_923_076)], ids=["n10000", "n13"]
@@ -811,9 +832,9 @@ class TestCliSimulateAndPositivity:
     @pytest.mark.parametrize("argv", [["simulate", "--trials", "10"], ["figure", "--n", "4"]],
                              ids=["simulate", "figure"])
     def test_negative_seed_names_the_flag(self, argv, capsys):
+        # the library checks the seed; the CLI reads it as an int only
         code, out, err = run_cli([*argv, "--seed", "-1"], capsys)
-        assert (code, out) == (2, "")
-        assert "argument --seed: must be at least 0, got -1" in err
+        assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
 
     def test_simulate_at_population_size_limit(self, capsys):
         code, out, _ = run_cli(
@@ -858,6 +879,12 @@ class TestCliFigure:
         code, _, err = run_cli(["figure", "--out", str(tmp_path / "fig.png")], capsys)
         assert code == 2
         assert ".csv or .svg" in err
+
+    def test_checks_the_figure_size_before_writing_any(self, tmp_path, capsys):
+        argv = ["figure", "--n", "1001", "--out", str(tmp_path / "a.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", "error: --n must be at most 1000, got 1001\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_checks_every_out_path_before_writing_any(self, tmp_path, capsys):
         argv = ["figure", "--out", str(tmp_path / "a.csv"), "--out", str(tmp_path / "b.txt")]
@@ -1098,24 +1125,46 @@ class TestCliNeverCrashes:
         assert len(err.encode()) < 300, err[:300]
 
     @pytest.mark.parametrize(
-        "argv",
+        "call",
         [
-            ["positivity", "--n", "1" * 5_000],
-            ["positivity", "--n", "1" * 4_000],
-            ["simulate", "--trials", "1" + "0" * 5_000],
-            ["simulate", "--seed", "-" + "1" * 4_000],
-            ["figure", "--low", "x" * 5_000],
+            lambda objective: brute_force_optimal([0.5], MultiplicativeDecay(0.5), objective),
+            lambda objective: recommended_order(MultiplicativeDecay(0.5), objective),
+            lambda objective: evaluate_order([0.5], [0], MultiplicativeDecay(0.5)).value(objective),
+            lambda objective: ScenarioConfig([0.5], MultiplicativeDecay(0.5), objective),
+        ],
+        ids=["brute_force_optimal", "recommended_order", "value", "ScenarioConfig"],
+    )
+    def test_a_huge_objective_is_one_short_library_error(self, call):
+        # each library entry point that takes an objective reads it through one helper
+        with pytest.raises(ValueError) as info:
+            call("o" * 100_000)
+        message = str(info.value)
+        assert message.startswith("objective must be 'expected' or 'all', got 'ooo")
+        assert "\n" not in message and len(message) < 300, message[:300]
+
+    @pytest.mark.parametrize(
+        "argv,start",
+        [
+            (["positivity", "--n", "1" * 5_000], "decaysched positivity: error: argument --n: "),
+            (["positivity", "--n", "1" * 4_000], "error: n must be at most 10000, got 1111"),
+            (["simulate", "--trials", "1" + "0" * 5_000],
+             "decaysched simulate: error: argument --trials: "),
+            (["simulate", "--seed", "-" + "1" * 4_000],
+             "error: seed must be a non-negative integer, got -1111"),
+            (["figure", "--low", "x" * 5_000], "decaysched figure: error: argument --low: "),
         ],
         ids=["n-too-long-for-int", "n-too-large", "trials-too-long-for-int", "seed-negative",
              "low-not-a-float"],
     )
-    def test_a_huge_argument_is_one_short_error_line(self, argv, capsys):
-        # argparse prints its usage first; the one error line cuts the echoed value
+    def test_a_huge_argument_is_one_short_error_line(self, argv, start, capsys):
+        # argparse prints its usage before what is not a number at all, and
+        # the library's error comes alone; the one error line cuts the echoed value
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         errors = [line for line in err.splitlines() if "error: " in line]
         assert errors == err.splitlines()[-1:], err[:300]
-        assert errors[0].startswith(f"decaysched {argv[0]}: error: argument {argv[1]}: ")
+        assert errors[0].startswith(start), errors[0][:300]
+        assert err.startswith("usage: ") != start.startswith("error: "), err[:300]
         assert len(errors[0].encode()) < 300, errors[0][:300]
 
     def test_a_negative_order_fails_in_either_spelling(self, monkeypatch, capsys):

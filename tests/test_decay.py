@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +97,21 @@ class TestAdditiveDecay:
         decay = AdditiveDecay.linear(0.1, 3)
         with pytest.raises(ValueError):
             decay.decay_per_stage[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decay.decay_per_stage = np.zeros(3)
+        assert decay.decay_per_stage.tolist() == [0.0, 0.1, 0.2]
+
+    def test_a_long_law_allocates_nothing_until_applied(self):
+        # the drops are computed where the law is applied, after its length is checked
+        tracemalloc.start()
+        try:
+            decay = AdditiveDecay(0.1, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ValueError, match=r"^decay has 1000000000000 stages, expected 3$"):
+            evaluate_order([0.5, 0.5, 0.5], [0, 1, 2], decay)
 
     def test_equality(self):
         assert AdditiveDecay.linear(0.1, 3) == AdditiveDecay.linear(0.1, 3)

@@ -102,6 +102,15 @@ class TestProbabilityVector:
         with pytest.raises(ValueError, match="one-dimensional, got shape \\(1, 1\\)"):
             ProbabilityVector([["x"]])
 
+    @pytest.mark.parametrize("depth", [2, 33, 70])
+    def test_a_nested_list_is_a_shape_error_at_any_depth(self, depth):
+        # past 32 dimensions numpy cannot reshape, so the shape is checked first
+        entries = 0.5
+        for _ in range(depth):
+            entries = [entries]
+        with pytest.raises(ValueError, match=r"^probabilities must be one-dimensional, got shape"):
+            ProbabilityVector(entries)
+
     def test_coercion_passthrough(self):
         pv = ProbabilityVector(np.array([0.5]))
         assert _as_probability_vector(pv) is pv
