@@ -96,11 +96,11 @@ class PopulationModel:
         if not 0.0 <= low < high <= 1.0:
             raise ValueError(
                 "bounds must satisfy 0 <= low < high <= 1, "
-                f"got low={_echo(self.low, str)} high={_echo(self.high, str)}"
+                f"got low={_echo(self.low)} high={_echo(self.high)}"
             )
         if not 0.0 <= step < math.inf:
             raise ValueError(
-                f"decay_step must be a finite number >= 0, got {_echo(self.decay_step, str)}"
+                f"decay_step must be a finite number >= 0, got {_echo(self.decay_step)}"
             )
         for name, value in (("n", n), ("low", low), ("high", high), ("decay_step", step)):
             object.__setattr__(self, name, value)

@@ -280,7 +280,7 @@ def _int(text: str) -> int:
 
 
 def _float(text: str) -> float:
-    """argparse type: a float, with ``-0.0`` read as ``0.0`` so that output never shows ``-0``."""
+    """argparse type: a float, with ``-0.0`` read as ``0.0`` so that no error echoes ``-0``."""
     try:
         return float(text) + 0.0
     except ValueError:

@@ -35,18 +35,21 @@ def _clip(text: str) -> str:
     return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
-def _echo(value: object, convert=repr) -> str:
-    """An input as an error message shows it: ``convert(value)``, cut by ``_clip``.
+def _echo(value: object) -> str:
+    """An input as an error message shows it: its ``repr``, cut by ``_clip``.
 
-    An int too long for Python to write out (over 4,300 digits by default)
-    shows its digit count instead, also as a list entry, so that the
-    message names its field rather than failing to form.
+    The ``repr`` tells a refused value from a valid-looking one: the string
+    ``'0.1'`` and ``Decimal('0.5')`` show their quotes and type, while a
+    Python float, int or list reads as its text.  An int too long for Python
+    to write out (over 4,300 digits by default) shows its digit count
+    instead, also as a list entry, so that the message names its field
+    rather than failing to form.
 
     >>> _echo(-10**5000)
     '<negative int of 5001 digits>'
     """
     try:
-        return _clip(convert(value))
+        return _clip(repr(value))
     except ValueError:
         pass
     if isinstance(value, list):
@@ -65,12 +68,13 @@ def _is_number(value: object) -> bool:
 
 
 def _real(value: object) -> float:
-    """``value`` as a Python float for a range check: +-inf for an int beyond the float
-    range, and NaN, which every check refuses, for what ``_is_number`` refuses."""
+    """``value`` as a Python float for a range check, with ``-0.0`` read as ``0.0``: +-inf
+    for an int beyond the float range, and NaN, which every check refuses, for what
+    ``_is_number`` refuses."""
     if not _is_number(value):
         return math.nan
     try:
-        return float(value)
+        return float(value) + 0.0
     except OverflowError:  # an int or a Fraction beyond the float range
         return math.inf if value > 0 else -math.inf
 
@@ -112,9 +116,7 @@ class AdditiveDecay:
     def __post_init__(self) -> None:
         rate = _real(self.rate)
         if not 0.0 <= rate < math.inf:
-            raise ValueError(
-                f"decay rate must be a finite number >= 0, got {_echo(self.rate, str)}"
-            )
+            raise ValueError(f"decay rate must be a finite number >= 0, got {_echo(self.rate)}")
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
 
@@ -141,8 +143,7 @@ class MultiplicativeDecay:
         factor = _real(self.factor)
         if not 0.0 < factor < 1.0:
             raise ValueError(
-                "multiplicative factor must lie strictly between 0 and 1, "
-                f"got {_echo(self.factor, str)}"
+                f"multiplicative factor must lie strictly between 0 and 1, got {_echo(self.factor)}"
             )
         object.__setattr__(self, "factor", factor)
 

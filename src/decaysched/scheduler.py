@@ -103,7 +103,8 @@ def sort_order(p0, direction: OrderDirection) -> np.ndarray:
     Equal probabilities keep their original relative order.
     """
     pv = _as_probability_vector(p0)
-    if direction not in ("ascending", "descending"):
+    # a str first: an array's membership test is an array, whose truth value is ambiguous
+    if not (isinstance(direction, str) and direction in ("ascending", "descending")):
         raise ValueError(
             f"direction must be 'ascending' or 'descending', got {_echo(direction)}"
         )
@@ -129,14 +130,18 @@ def _as_permutation(order, n: int) -> np.ndarray:
     range exactly, so the comparison runs on the entries as given and the
     cast to int64 follows it.
     """
-    arr = np.asarray(order)
+    try:
+        arr = np.asarray(order)
+        ranked = np.sort(arr, axis=None)
+    except (ValueError, TypeError):  # a ragged nesting, or entries that do not compare
+        raise ValueError("order must be a one-dimensional sequence of integers") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("order must be a non-empty one-dimensional sequence")
     if arr.size != n:
         raise ValueError(f"order has length {arr.size}, expected {n}")
     if arr.dtype.kind not in "iufO" or (arr.dtype.kind == "f" and (np.trunc(arr) != arr).any()):
         raise ValueError("order must contain integers")
-    if not np.array_equal(np.sort(arr), np.arange(arr.size)):
+    if not np.array_equal(ranked, np.arange(arr.size)):
         typed = _echo(np.asarray(order, dtype=object).tolist())
         raise ValueError(f"order {typed} is not a permutation of 0..{arr.size - 1}")
     return arr.astype(np.int64)

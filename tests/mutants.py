@@ -358,6 +358,28 @@ MUTANTS = (
         "killed",
         "an unknown objective raises the enum's own error, which echoes it whole",
     ),
+    # one echo, one fold of -0.0, and a direction that is no str
+    Mutant(
+        "decay.py",
+        "return _clip(repr(value))",
+        "return _clip(str(value))",
+        "killed",
+        "an echo drops its quotes and type, so the string '0.1' reads as a valid number",
+    ),
+    Mutant(
+        "decay.py",
+        "return float(value) + 0.0",
+        "return float(value)",
+        "killed",
+        "a scalar of -0.0 keeps its sign, so a record and a scenario document show -0.0",
+    ),
+    Mutant(
+        "scheduler.py",
+        "isinstance(direction, str)",
+        "True",
+        "killed",
+        "an array direction raises numpy's ambiguous-truth error, which names no field",
+    ),
 )
 
 

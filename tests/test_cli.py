@@ -148,16 +148,39 @@ class TestParseScenario:
     def test_rejects_non_numbers(self):
         with pytest.raises(ValueError, match=r"probabilities\[0\] must be a number"):
             parse_scenario('{"probabilities": [true], "decay": {"type": "additive", "rate": 0.1}}')
-        with pytest.raises(ValueError, match=r"decay\.rate must be a number"):
+        # the law checks its own number, and its echo quotes a string
+        with pytest.raises(ValueError) as info:
             parse_scenario('{"probabilities": [0.5], "decay": {"type": "additive", "rate": "x"}}')
+        assert str(info.value) == "decay rate must be a finite number >= 0, got 'x'"
+        with pytest.raises(ValueError) as info:
+            parse_scenario('{"probabilities": [0.5], "decay": {"type": "multiplicative", '
+                           '"factor": "0.5"}}')
+        assert str(info.value) == "multiplicative factor must lie strictly between 0 and 1, got '0.5'"
+
+    # ProbabilityVector checks the shape and size of whatever the document holds
+    @pytest.mark.parametrize(
+        "probabilities,message",
+        [
+            ('"abc"', "probabilities must be one-dimensional, got shape ()"),
+            ("{}", "probabilities must be one-dimensional, got shape ()"),
+            ("0.5", "probabilities must be one-dimensional, got shape ()"),
+            ("[]", "probabilities must contain at least one entry"),
+        ],
+        ids=["string", "object", "number", "empty"],
+    )
+    def test_rejects_probabilities_that_are_no_list(self, probabilities, message):
+        with pytest.raises(ValueError) as info:
+            parse_scenario('{"probabilities": %s, "decay": {"type": "additive", "rate": 0.1}}'
+                           % probabilities)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "document,message",
         [
             ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": NaN}}',
-             r"decay\.rate must be a finite number"),
+             r"decay rate must be a finite number >= 0, got nan$"),
             ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1e999}}',
-             r"decay\.rate must be a finite number"),
+             r"decay rate must be a finite number >= 0, got inf$"),
             # ProbabilityVector reads each probability, and its range check refuses these
             ('{"probabilities": [NaN], "decay": {"type": "additive", "rate": 0.1}}',
              r"probabilities\[0\] = nan is outside \[0, 1\]"),
@@ -166,9 +189,9 @@ class TestParseScenario:
             ('{"probabilities": [0.5, 1' + "0" * 400 + '], "decay": {"type": "additive", '
              '"rate": 0.1}}', r"probabilities\[1\] = inf is outside \[0, 1\]"),
             ('{"probabilities": [0.5], "decay": {"type": "multiplicative", "factor": -Infinity}}',
-             r"decay\.factor must be a finite number"),
+             r"multiplicative factor must lie strictly between 0 and 1, got -inf$"),
             ('{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1' + "0" * 400 + "}}",
-             r"decay\.rate must be a finite number"),
+             r"decay rate must be a finite number >= 0, got 10{99}\.\.\. \(401 characters\)$"),
         ],
         ids=["rate-nan", "rate-overflow", "probability-nan", "probability-inf",
              "probability-huge-int", "factor-minus-inf", "rate-huge-int"],
@@ -186,11 +209,15 @@ class TestParseScenario:
                            '"factor": 0.5}}' % probabilities)
         assert str(info.value).startswith(f"probabilities must be one-dimensional, got shape {shape}")
 
+    # that the int reads as inf is covered by probability-huge-int above, whose
+    # message shows the float, and by tests/test_decay.py's huge-int cases
     def test_an_int_beyond_the_float_range_reads_as_inf(self):
         document = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 1%s}}'
         with pytest.raises(ValueError) as info:
             parse_scenario(document % ("0" * 400))
-        assert str(info.value) == "decay.rate must be a finite number, got inf"
+        assert str(info.value) == (
+            f"decay rate must be a finite number >= 0, got 1{'0' * 99}... (401 characters)"
+        )
 
     def test_rejects_malformed_documents(self):
         with pytest.raises(ValueError, match="not valid JSON"):
@@ -292,15 +319,17 @@ class TestScenarioRoundTrip:
         doc = {"probabilities": probs, "decay": decay}
         if objective is not None:
             doc["objective"] = objective
-        canonical = {**doc, "objective": objective or "expected"}
+        # the law reads a rate of -0.0 as 0.0
+        law = {key: value if key == "type" else value + 0.0 for key, value in decay.items()}
+        canonical = {**doc, "decay": law, "objective": objective or "expected"}
         written = serialize_scenario(parse_scenario(json.dumps(doc)))
         assert written == json.dumps(canonical, sort_keys=True, indent=2) + "\n"
 
-    # a one-item law's only drop is 0.0 whatever its rate; -0.0 keeps its sign
+    # a one-item law's only drop is 0.0 whatever its rate; -0.0 is read as 0.0
     @pytest.mark.parametrize("rate", ["0.3", "-0.0"])
     def test_one_item_additive_keeps_its_rate(self, rate):
         doc = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": %s}}' % rate
-        assert f'"rate": {rate}' in serialize_scenario(parse_scenario(doc))
+        assert f'"rate": {abs(float(rate))}' in serialize_scenario(parse_scenario(doc))
 
     def test_configs_that_compare_equal_hash_equal(self):
         configs = {parse_scenario(SCENARIO_A), parse_scenario(SCENARIO_A)}
@@ -598,6 +627,21 @@ class TestCliEvaluate:
         code, _, err = run_cli(["evaluate", "--scenario", str(scenario)], capsys)
         assert code == 2
         assert "probabilities[0]" in err
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"decay": {"type": "additive", "rate": "0.1"}},
+             "decay rate must be a finite number >= 0, got '0.1'"),
+            ({"probabilities": "abc"}, "probabilities must be one-dimensional, got shape ()"),
+        ],
+        ids=["string-rate", "string-probabilities"],
+    )
+    def test_a_value_of_the_wrong_type_is_one_error_line(self, changes, message, monkeypatch,
+                                                          capsys):
+        document = {**json.loads(SCENARIO_A), **changes}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+        assert run_cli(["evaluate"], capsys) == (2, "", f"error: {message}\n")
 
 
 class TestCliOptimize:
@@ -1096,7 +1140,7 @@ class TestCliNeverCrashes:
             (["optimize"], {"objective": [0] * 100_000}, "objective"),
             (["evaluate"], {"probabilities": ["x" * 100_000]}, "probabilities[0]"),
             (["evaluate"], {"decay": {"type": "y" * 100_000}}, "decay.type"),
-            (["evaluate"], {"decay": {"type": "additive", "rate": [1] * 100_000}}, "decay.rate"),
+            (["evaluate"], {"decay": {"type": "additive", "rate": [1] * 100_000}}, "decay rate"),
             (["evaluate"], {"z" * 100_000: 1}, "unknown scenario field"),
             (["evaluate"], {"decay": {"type": "additive", "rate": 0.1, "w" * 100_000: 1}},
              "unknown additive decay field"),

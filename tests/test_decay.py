@@ -1,6 +1,9 @@
 import ast
 import dataclasses
+import json
+import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from decaysched import (
     sort_order,
 )
 from decaysched.decay import _echo, _linear_drops
+from decaysched.scenario import parse_scenario, serialize_scenario
 from decaysched.scheduler import _as_permutation
 
 probability_lists = st.lists(
@@ -243,17 +247,36 @@ def test_a_value_that_is_not_a_number_is_named(build, message, value):
     [
         (lambda: AdditiveDecay(10**400, 3), "decay rate must be a finite number >= 0, got 1000"),
         (lambda: AdditiveDecay(np.array([0.1]), 3),
-         "decay rate must be a finite number >= 0, got [0.1]"),
-        (lambda: AdditiveDecay(np.True_, 3), "decay rate must be a finite number >= 0, got True"),
+         "decay rate must be a finite number >= 0, got array([0.1])"),
+        (lambda: AdditiveDecay(np.True_, 3),
+         "decay rate must be a finite number >= 0, got np.True_"),
         (lambda: PopulationModel(13, 0.5, 1, 10**400),
          "decay_step must be a finite number >= 0, got 1000"),
+        # an echo is the refused value's repr, so no refusal shows a valid-looking number
+        (lambda: AdditiveDecay("0.1", 3), "decay rate must be a finite number >= 0, got '0.1'"),
+        (lambda: MultiplicativeDecay(np.float64(-0.1)),
+         "multiplicative factor must lie strictly between 0 and 1, got np.float64(-0.1)"),
+        (lambda: PopulationModel(3, Decimal("0.5"), 1, 0.1),
+         "bounds must satisfy 0 <= low < high <= 1, got low=Decimal('0.5') high=1"),
     ],
-    ids=["huge-int-rate", "array-rate", "numpy-bool-rate", "huge-int-decay-step"],
+    ids=["huge-int-rate", "array-rate", "numpy-bool-rate", "huge-int-decay-step", "str-rate",
+         "numpy-factor", "decimal-low"],
 )
 def test_a_scalar_that_is_no_finite_float_is_named(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value).startswith(message)
+
+
+# -0.0 is read as 0.0 once, where each scalar is read, so no record keeps its sign
+def test_negative_zero_is_read_as_zero():
+    model = PopulationModel(3, -0.0, 1.0, -0.0)
+    values = (model.low, model.decay_step, AdditiveDecay(-0.0, 3).rate,
+              AdditiveDecay(np.float64(-0.0), 3).rate)
+    assert [math.copysign(1.0, value) for value in values] == [1.0] * 4
+    doc = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": -0.0}}'
+    rate = json.loads(serialize_scenario(parse_scenario(doc)))["decay"]["rate"]
+    assert math.copysign(1.0, rate) == 1.0
 
 
 def test_records_hold_python_floats_and_ints():
@@ -316,7 +339,7 @@ def test_an_echoed_input_is_one_short_line(build, wording, value):
 @pytest.mark.parametrize("power", [4301, 5000, 12_345])
 def test_an_int_too_long_to_write_out_shows_its_digit_count(power):
     assert _echo(10**power) == f"<int of {power + 1} digits>"
-    assert _echo(1 - 10**power, str) == f"<negative int of {power} digits>"
+    assert _echo(1 - 10**power) == f"<negative int of {power} digits>"
     assert _echo([0, 10**power]) == f"[0, <int of {power + 1} digits>]"
 
 

@@ -74,6 +74,9 @@ class TestSortOrder:
     def test_rejects_unknown_direction(self):
         with pytest.raises(ValueError, match="direction"):
             sort_order([0.5, 0.6], "sideways")
+        # an array's membership test has no single truth value
+        with pytest.raises(ValueError, match="^direction must be 'ascending' or 'descending'"):
+            sort_order([0.5], np.array(["a", "b"]))
 
     def test_stable_on_all_equal(self):
         np.testing.assert_array_equal(sort_order([0.5, 0.5, 0.5], "ascending"), [0, 1, 2])
@@ -224,6 +227,13 @@ class TestEvaluateOrder:
             evaluate_order(VEC_A, [0, 1, 2], DECAY_01)
         with pytest.raises(ValueError, match="permutation"):
             evaluate_order(VEC_A, [0, 1, 2, 2], DECAY_01)
+        # a ragged nesting, and entries that do not compare, name the order too
+        decay = AdditiveDecay(0.1, 2)
+        for order in ([[0], [1, 2]], [0, None], [0, {}]):
+            with pytest.raises(ValueError, match="^order must be a one-dimensional sequence"):
+                evaluate_order([0.5, 0.5], order, decay)
+        for order in ([0.0, 1.0], [0, Fraction(1, 1)]):
+            assert evaluate_order([0.5, 0.5], order, decay).expected_successes == 0.9
 
     def test_single_item(self):
         metrics = evaluate_order([0.4], [0], AdditiveDecay.linear(0.9, 1))
