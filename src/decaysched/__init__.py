@@ -7,17 +7,16 @@ evaluates service orders (success-count distribution, expected successes,
 all-success probability), finds optimal orders exhaustively or by provably
 optimal sorting strategies, and analyzes populations with uniform random
 initial probabilities (probability that no item decays to zero, by closed
-forms and by Monte Carlo, and a seeded draw's stage-by-item table).
-Scenario documents (``scenario``) round out the library.  The command line,
-which renders every output format, lives in ``decaysched.cli`` and is not
-imported here; run it as ``decaysched`` or ``python -m decaysched``.
+forms and by Monte Carlo, and a seeded draw's stage-by-item table).  The
+command line, which reads scenario documents and renders every output
+format, lives in ``decaysched.cli`` and is not imported here; run it as
+``decaysched`` or ``python -m decaysched``.
 """
 
-from . import analysis, decay, distribution, scenario, scheduler
+from . import analysis, decay, distribution, scheduler
 from .analysis import *
 from .decay import *
 from .distribution import *
-from .scenario import *
 from .scheduler import *
 
 __version__ = "0.1.0"
@@ -28,5 +27,4 @@ __all__ = [
     *decay.__all__,
     *scheduler.__all__,
     *analysis.__all__,
-    *scenario.__all__,
 ]

@@ -4,8 +4,16 @@ Subcommands: ``evaluate`` (metrics for one order), ``optimize`` (exhaustive
 or sorted-order search), ``simulate`` (Monte Carlo positivity for both
 service strategies), ``positivity`` (closed forms for both strategies), and
 ``figure`` (stage-by-item probability matrix as CSV and/or an SVG heatmap).
-``evaluate`` and ``optimize`` read a scenario document (see
-``decaysched.scenario``); all item indices on the command line are 0-based.
+All item indices on the command line are 0-based.
+
+``evaluate`` and ``optimize`` read a scenario document, a UTF-8 JSON object
+such as ``{"probabilities": [0.8, 0.9], "decay": {"type": "additive",
+"rate": 0.1}, "objective": "expected"}``.  ``decay.type`` is ``additive``
+(with ``rate`` >= 0, the per-stage linear step) or ``multiplicative`` (with
+``factor`` strictly inside (0, 1)); ``objective`` is optional and defaults
+to ``expected``; no other key is accepted.  This module checks only the
+document's shape; each value is checked once, by the type it builds.
+
 Every subcommand accepts ``--format structured`` for canonical JSON output
 (sorted keys, compact separators) that is byte-identical across runs for
 identical arguments and seeds.  The library returns arrays and records;
@@ -27,7 +35,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import analysis
-from .scenario import ScenarioConfig, parse_scenario
+from .decay import AdditiveDecay, MultiplicativeDecay
+from .distribution import ProbabilityVector
 from .scheduler import (
     BRUTE_FORCE_MAX_ITEMS,
     Objective,
@@ -50,6 +59,11 @@ _CSV_DECIMALS = 6
 
 # one grid cell of the SVG heatmap, in user units
 _SVG_CELL = 24.0
+
+# each law's ``decay.type`` and the one number field that sets it
+_LAW_FIELDS = {"additive": "rate", "multiplicative": "factor"}
+
+_Scenario = tuple[ProbabilityVector, AdditiveDecay | MultiplicativeDecay, Objective]
 
 
 def _cut(text: str) -> str:
@@ -121,18 +135,68 @@ def _figure_svg(matrix: np.ndarray) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    if args.scenario in (None, "-"):
-        return parse_scenario(sys.stdin.read())
-    return parse_scenario(Path(args.scenario).read_text())
+def _parse_scenario(text: str) -> _Scenario:
+    """A scenario document's probabilities, decay law and objective; an error names its field."""
+    # deep nesting raises RecursionError; an integer of over 4,300 digits, ValueError
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"scenario document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("scenario document must be a JSON object")
+    unknown = set(doc) - {"probabilities", "decay", "objective"}
+    if unknown:
+        raise ValueError(f"unknown scenario field(s): {_cut(', '.join(sorted(unknown)))}")
+
+    if "probabilities" not in doc:
+        raise ValueError("scenario is missing the 'probabilities' field")
+    probabilities = ProbabilityVector(doc["probabilities"])
+
+    if "decay" not in doc:
+        raise ValueError("scenario is missing the 'decay' field")
+    raw_decay = doc["decay"]
+    if not isinstance(raw_decay, dict):
+        raise ValueError("decay must be an object with a 'type' field")
+    decay_type = raw_decay.get("type")
+    # a membership test, not a lookup: an unhashable type must not raise TypeError
+    if decay_type not in ("additive", "multiplicative"):
+        raise ValueError(
+            f"decay.type must be 'additive' or 'multiplicative', got {_cut(repr(decay_type))}"
+        )
+    key = _LAW_FIELDS[decay_type]
+    extra = set(raw_decay) - {"type", key}
+    if extra:
+        raise ValueError(f"unknown {decay_type} decay field(s): {_cut(', '.join(sorted(extra)))}")
+    if key not in raw_decay:
+        raise ValueError(f"{decay_type} decay requires a '{key}' field")
+    decay = (AdditiveDecay(raw_decay[key], probabilities.n) if decay_type == "additive"
+             else MultiplicativeDecay(raw_decay[key]))
+
+    objective = doc.get("objective", "expected")
+    try:
+        return probabilities, decay, Objective(objective)
+    except ValueError:
+        message = f"objective must be 'expected' or 'all', got {_cut(repr(objective))}"
+        raise ValueError(message) from None
 
 
-def _resolve_order(spec: str, config: ScenarioConfig) -> np.ndarray | list[int]:
+def _load_scenario(args: argparse.Namespace) -> _Scenario:
+    try:
+        if args.scenario in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            text = Path(args.scenario).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # JSON text is UTF-8
+        raise ValueError(f"scenario document is not valid JSON: {exc}") from exc
+    return _parse_scenario(text)
+
+
+def _resolve_order(spec: str, probabilities: ProbabilityVector) -> np.ndarray | list[int]:
     """The order ``spec`` names; explicit indices are validated by ``evaluate_order``."""
     if spec == "identity":
-        return np.arange(config.probabilities.n)
+        return np.arange(probabilities.n)
     if spec in ("ascending", "descending"):
-        return sort_order(config.probabilities, spec)
+        return sort_order(probabilities, spec)
     try:
         return [int(token) for token in spec.split(",")]
     except ValueError:
@@ -149,9 +213,9 @@ def _population(args: argparse.Namespace) -> analysis.PopulationModel:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_scenario(args)
-    order = _resolve_order(args.order, config)
-    metrics = evaluate_order(config.probabilities, order, config.decay)
+    probabilities, decay, _ = _load_scenario(args)
+    order = _resolve_order(args.order, probabilities)
+    metrics = evaluate_order(probabilities, order, decay)
     _emit(
         {
             "order": [int(i) for i in order],
@@ -165,19 +229,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = _load_scenario(args)
-    objective = Objective(args.objective) if args.objective else config.objective
+    probabilities, decay, objective = _load_scenario(args)
+    objective = Objective(args.objective) if args.objective else objective
     payload: dict[str, object] = {
         "objective": objective.value,
         "method": args.method,
     }
     if args.method == "brute":
-        order, value = brute_force_optimal(config.probabilities, config.decay, objective)
+        order, value = brute_force_optimal(probabilities, decay, objective)
     else:
-        strategy = recommended_order(config.decay, objective)
+        strategy = recommended_order(decay, objective)
         payload["strategy"] = strategy
-        order = _resolve_order("identity" if strategy == "any" else strategy, config)
-        value = evaluate_order(config.probabilities, order, config.decay).value(objective)
+        order = _resolve_order("identity" if strategy == "any" else strategy, probabilities)
+        value = evaluate_order(probabilities, order, decay).value(objective)
     payload["order"] = [int(i) for i in order]
     payload["value"] = float(value)
     _emit(payload, args.format)

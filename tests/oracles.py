@@ -33,10 +33,17 @@ the sum the package evaluates in floats (Daniels 1945; Birnbaum & Tingey
 1951).  The sum assumes the boundaries lie on one line, which the float
 boundaries do only up to rounding, so it equals the other two exactly only
 when they do: then it checks the package's float arithmetic alone.
+
+``prob_weakest_first_positive_low_zero`` is exact at any ``n`` when
+``low = 0``.  Abel's binomial identity turns the line-boundary sum into a
+sum over the ranks that cannot fail, with the line extended below 0; at
+``low = 0`` rank 1 is the only one, so one positive term remains.  It takes
+the inputs as given, not the package's float boundaries.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -226,6 +233,23 @@ def prob_weakest_first_positive_line_sum(model: PopulationModel) -> Fraction:
             a = Fraction(_bound(model, rank))
             total += math.comb(n, rank) * a**rank * (1 - a) ** (n - rank - 1)
     return 1 - last**n - (1 - last) * total
+
+
+def prob_weakest_first_positive_low_zero(n: int, high: float, d: float) -> Fraction:
+    """Weakest-first positivity probability at ``low = 0`` for ``n`` items and step ``d``.
+
+    ``P = (1 - d (n - 1) / high) * (1 + d / high)**(n - 1)``, and 0 where
+    the first factor is not positive.  The first factor is exact; the power
+    is taken in 60-digit decimal arithmetic, a relative error below
+    ``n * 1e-59``.
+    """
+    first = 1 - Fraction(d) * (n - 1) / Fraction(high)
+    if first <= 0:
+        return Fraction(0)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        growth = (1 + decimal.Decimal(d) / decimal.Decimal(high)) ** (n - 1)
+    return first * Fraction(growth)
 
 
 def weakest_first_error_bound(n: int, p: float) -> float:

@@ -15,6 +15,7 @@ from oracles import (
     active_ranks,
     prob_weakest_first_positive_exact,
     prob_weakest_first_positive_line_sum,
+    prob_weakest_first_positive_low_zero,
     prob_weakest_first_positive_quadrature,
     prob_weakest_first_positive_steck,
     weakest_first_error_bound,
@@ -353,6 +354,20 @@ class TestWeakestFirstRecursion:
         exact = prob_weakest_first_positive_line_sum(model)
         value = positivity_report(model).prob_weakest_first_positive
         assert abs(Fraction(value) - exact) <= weakest_first_error_bound(model.n, value)
+
+    # the exact one-term value at low = 0 reaches every n, where the sums stop near 600
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 10_000),
+        high=st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1.0),
+        reach=st.floats(0.0, 1.1),
+    )
+    def test_matches_low_zero_oracle_within_stated_bound(self, n, high, reach):
+        # the last threshold d * (n - 1) lies near reach * high, so P spans [0, 1]
+        d = reach * high / (n - 1)
+        exact = prob_weakest_first_positive_low_zero(n, high, d)
+        value = positivity_report(PopulationModel(n, 0.0, high, d)).prob_weakest_first_positive
+        assert abs(Fraction(value) - exact) <= weakest_first_error_bound(n, value)
 
     @pytest.mark.parametrize(
         "model",

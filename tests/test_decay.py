@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import json
 import math
 import tracemalloc
 from decimal import Decimal
@@ -24,7 +23,6 @@ from decaysched import (
     sort_order,
 )
 from decaysched.decay import _echo, _linear_drops
-from decaysched.scenario import parse_scenario, serialize_scenario
 from decaysched.scheduler import _as_permutation
 
 probability_lists = st.lists(
@@ -274,9 +272,6 @@ def test_negative_zero_is_read_as_zero():
     values = (model.low, model.decay_step, AdditiveDecay(-0.0, 3).rate,
               AdditiveDecay(np.float64(-0.0), 3).rate)
     assert [math.copysign(1.0, value) for value in values] == [1.0] * 4
-    doc = '{"probabilities": [0.5], "decay": {"type": "additive", "rate": -0.0}}'
-    rate = json.loads(serialize_scenario(parse_scenario(doc)))["decay"]["rate"]
-    assert math.copysign(1.0, rate) == 1.0
 
 
 def test_records_hold_python_floats_and_ints():

@@ -17,7 +17,7 @@ def test_public_names_are_listed_once_and_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(decaysched, name), name
-    assert len(names) == 24
+    assert len(names) == 21
 
 
 def test_version_matches_pyproject():

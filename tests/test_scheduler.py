@@ -12,7 +12,6 @@ from decaysched import (
     MultiplicativeDecay,
     Objective,
     ProbabilityVector,
-    ScenarioConfig,
     ScheduleMetrics,
     brute_force_optimal,
     evaluate_order,
@@ -422,10 +421,8 @@ class TestRecommendedOrder:
             lambda decay: evaluate_order([0.5], [0], decay),
             lambda decay: brute_force_optimal([0.5], decay, Objective.EXPECTED_SUCCESSES),
             lambda decay: recommended_order(decay, Objective.EXPECTED_SUCCESSES),
-            lambda decay: ScenarioConfig(ProbabilityVector([0.5]), decay),
         ],
-        ids=["stage_item_matrix", "evaluate_order", "brute_force_optimal", "recommended_order",
-             "ScenarioConfig"],
+        ids=["stage_item_matrix", "evaluate_order", "brute_force_optimal", "recommended_order"],
     )
     def test_every_entry_point_names_the_type_it_got(self, call):
         message = "^decay must be AdditiveDecay or MultiplicativeDecay, got float$"
