@@ -3,7 +3,7 @@
 Subcommands: ``evaluate`` (metrics for one order), ``optimize`` (exhaustive
 or sorted-order search), ``simulate`` (Monte Carlo positivity for both
 service strategies), ``positivity`` (closed forms for both strategies), and
-``figure`` (stage-by-item probability matrix as CSV and/or an SVG heatmap).
+``figure`` (stage-by-item probability matrix as CSV, JSON or an SVG heatmap).
 All item indices on the command line are 0-based.
 
 ``evaluate`` and ``optimize`` read a scenario document, a UTF-8 JSON object
@@ -14,10 +14,11 @@ such as ``{"probabilities": [0.8, 0.9], "decay": {"type": "additive",
 to ``expected``; no other key is accepted.  This module checks only the
 document's shape; each value is checked once, by the type it builds.
 
-Every subcommand accepts ``--format structured`` for canonical JSON output
-(sorted keys, compact separators) that is byte-identical across runs for
-identical arguments and seeds.  The library returns arrays and records;
-this module renders them as text, JSON, CSV or SVG.
+Every subcommand prints to standard output and accepts ``--format
+structured`` for canonical JSON output (sorted keys, compact separators)
+that is byte-identical across runs for identical arguments and seeds;
+``figure`` also takes ``--format svg``.  The library returns arrays and
+records; this module renders them as text, JSON, CSV or SVG.
 
 Exit status: 0 on success, 2 on any validation failure (the message names
 the offending field), 1 on internal errors.
@@ -283,27 +284,11 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    # before any file is written: the figure's size, and each path must end
-    # in .csv or .svg, name no directory and sit in a directory that exists
+    # the figure's size, before it is drawn
     if args.n > _MAX_FIGURE_N:
         raise ValueError(f"--n must be at most {_MAX_FIGURE_N}, got {_cut(str(args.n))}")
     model = _population(args)
-    outs = args.out or []
-    for out in outs:
-        path = Path(out)
-        if path.suffix.lower() not in (".csv", ".svg"):
-            raise ValueError(f"--out path must end in .csv or .svg, got {_cut(repr(out))}")
-        if path.is_dir() or not path.parent.is_dir():
-            raise ValueError(
-                f"--out path must name a file in an existing directory, got {_cut(repr(out))}"
-            )
     matrix = analysis.generate_figure_matrix(model, args.seed)
-    for out in outs:
-        path = Path(out)
-        if path.suffix.lower() == ".csv":
-            path.write_text(_figure_csv(matrix, header=args.header))
-        else:
-            path.write_text(_figure_svg(matrix))
     if args.format == "structured":
         _emit(
             {
@@ -314,15 +299,17 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             },
             args.format,
         )
-    elif not args.out:
+    elif args.format == "svg":
+        sys.stdout.write(_figure_svg(matrix))
+    else:
         sys.stdout.write(_figure_csv(matrix, header=args.header))
     return 0
 
 
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
+def _add_format_flag(parser: argparse.ArgumentParser, *extra: str) -> None:
     parser.add_argument(
         "--format",
-        choices=("text", "structured"),
+        choices=("text", "structured", *extra),
         default="text",
         help="output mode: human-readable lines or canonical JSON (default: text)",
     )
@@ -431,19 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pos.set_defaults(func=_cmd_positivity)
 
     p_fig = sub.add_parser(
-        "figure", help="stage-by-item probability matrix as CSV and/or SVG heatmap"
+        "figure", help="stage-by-item probability matrix as CSV, JSON or an SVG heatmap"
     )
     _add_seed_flag(p_fig)
     _add_population_flags(p_fig, _MAX_FIGURE_N)
     p_fig.add_argument(
-        "--out",
-        action="append",
-        help="output path ending in .csv or .svg; may be given more than once",
-    )
-    p_fig.add_argument(
         "--header", action="store_true", help="prepend stage/item labels to the CSV"
     )
-    _add_format_flag(p_fig)
+    _add_format_flag(p_fig, "svg")
     p_fig.set_defaults(func=_cmd_figure)
 
     return parser

@@ -1,9 +1,11 @@
-"""The package's stated accuracy claims, checked where tier-1 cannot afford to.
+"""The package's stated accuracy claims, each checked at large sizes.
 
-Run by hand, not by the test suite (about 40 s, nearly all of it in
-Steck's determinant at n = 300..600):
+Run by hand (about 40 s, nearly all of it in claim 0, Steck's
+determinant at n = 300..600):
 
     python3 tests/accuracy.py
+
+``tests/test_accuracy.py`` runs every other claim in the test suite.
 
 Each claim prints one line: its verdict against the expected one, the
 worst measured error and where it was measured, the bound, the margin
@@ -249,12 +251,17 @@ CLAIMS = (
 )
 
 
+def judge(claim: Claim) -> tuple[str, float, str]:
+    """The claim's verdict, its worst error and where that error was seen."""
+    worst, where = claim.measure()
+    return "holds" if worst <= claim.bound else "fails", worst, where
+
+
 def main() -> int:
     wrong = 0
     for index, claim in enumerate(CLAIMS):
         start = time.perf_counter()
-        worst, where = claim.measure()
-        verdict = "holds" if worst <= claim.bound else "fails"
+        verdict, worst, where = judge(claim)
         ok = verdict == claim.expected
         wrong += not ok
         print(

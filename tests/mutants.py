@@ -35,9 +35,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 
 # the goldens, then the kernels and the modules whose results are records;
-# the figure's and the scenario document's tests live with the CLI's, and so
-# do the test of the figure's own size check and the one of the library's
-# objective message, which the scenario parser no longer reaches
+# the figure's and the scenario document's tests, with the one of the
+# figure's own size check, live with the CLI's
 GATES = (
     "tests/test_cli_golden.py",
     "tests/test_library_golden.py",
@@ -50,7 +49,6 @@ GATES = (
     "tests/test_cli.py::TestCliFigure",
     "tests/test_cli.py::TestParseScenario",
     "tests/test_cli.py::TestScenarioRoundTrip",
-    "tests/test_cli.py::TestCliNeverCrashes::test_a_huge_objective_is_one_short_library_error",
 )
 
 

@@ -74,8 +74,15 @@ CASES = {
     ),
     # every threshold from stage 2 on is beyond --high, and the last overflows
     "positivity-huge-decay": (None, ["positivity", "--decay", "1e308"]),
+    # the reference figure (tests/data/figure_seed1729.csv), and --header on a small one
+    "figure-seed-1729": (None, ["figure", "--seed", "1729"]),
+    "figure-n5-header": (None, ["figure", "--n", "5", "--header"]),
 }
 FORMATS = ("text", "structured")
+# figure alone also renders an SVG; --header applies to its CSV only
+SVG_CASES = ("figure-seed-1729",)
+RECORDED = [(case, fmt) for case in CASES for fmt in FORMATS]
+RECORDED += [(case, "svg") for case in SVG_CASES]
 
 
 def run(case: str, fmt: str, monkeypatch, capsys) -> str:
@@ -88,10 +95,9 @@ def run(case: str, fmt: str, monkeypatch, capsys) -> str:
 
 
 def test_every_recorded_case_is_run():
-    assert set(GOLDEN) == {f"{case}-{fmt}" for case in CASES for fmt in FORMATS}
+    assert set(GOLDEN) == {f"{case}-{fmt}" for case, fmt in RECORDED}
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case,fmt", RECORDED, ids=[f"{case}-{fmt}" for case, fmt in RECORDED])
 def test_stdout_matches_recording(case, fmt, monkeypatch, capsys):
     assert run(case, fmt, monkeypatch, capsys) == GOLDEN[f"{case}-{fmt}"]

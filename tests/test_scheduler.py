@@ -428,3 +428,21 @@ class TestRecommendedOrder:
         message = "^decay must be AdditiveDecay or MultiplicativeDecay, got float$"
         with pytest.raises(TypeError, match=message):
             call(0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda objective: brute_force_optimal([0.5], MultiplicativeDecay(0.5), objective),
+        lambda objective: recommended_order(MultiplicativeDecay(0.5), objective),
+        lambda objective: evaluate_order([0.5], [0], MultiplicativeDecay(0.5)).value(objective),
+    ],
+    ids=["brute_force_optimal", "recommended_order", "value"],
+)
+def test_a_huge_objective_is_one_short_library_error(call):
+    # each library entry point that takes an objective reads it through one helper
+    with pytest.raises(ValueError) as info:
+        call("o" * 100_000)
+    message = str(info.value)
+    assert message.startswith("objective must be 'expected' or 'all', got 'ooo")
+    assert "\n" not in message and len(message) < 300, message[:300]
