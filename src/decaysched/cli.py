@@ -8,10 +8,10 @@ All item indices on the command line are 0-based.
 
 ``evaluate`` and ``optimize`` read a scenario document, a UTF-8 JSON object
 such as ``{"probabilities": [0.8, 0.9], "decay": {"type": "additive",
-"rate": 0.1}, "objective": "expected"}``.  ``decay.type`` is ``additive``
-(with ``rate`` >= 0, the per-stage linear step) or ``multiplicative`` (with
-``factor`` strictly inside (0, 1)); ``objective`` is optional and defaults
-to ``expected``; no other key is accepted.  This module checks only the
+"rate": 0.1}}``.  ``decay.type`` is ``additive`` (with ``rate`` >= 0, the
+per-stage linear step) or ``multiplicative`` (with ``factor`` strictly inside
+(0, 1)); no other key is accepted.  The document is the instance only: what
+``optimize`` maximizes is its ``--objective``.  This module checks only the
 document's shape; each value is checked once, by the type it builds.
 
 Every subcommand prints to standard output and accepts ``--format
@@ -29,9 +29,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .decay import AdditiveDecay, MultiplicativeDecay
 from .distribution import ProbabilityVector
 from .scheduler import (
     BRUTE_FORCE_MAX_ITEMS,
-    Objective,
     brute_force_optimal,
     evaluate_order,
     recommended_order,
@@ -64,14 +64,25 @@ _SVG_CELL = 24.0
 # each law's ``decay.type`` and the one number field that sets it
 _LAW_FIELDS = {"additive": "rate", "multiplicative": "factor"}
 
-_Scenario = tuple[ProbabilityVector, AdditiveDecay | MultiplicativeDecay, Objective]
+_Scenario = tuple[ProbabilityVector, AdditiveDecay | MultiplicativeDecay]
 
 
-def _cut(text: str) -> str:
-    """``text`` cut to ``_ECHO_LIMIT`` characters: its start, an ellipsis and its length."""
+def _cut(text: str, quote: str = "") -> str:
+    """``text`` in ``quote``s, cut to ``_ECHO_LIMIT`` characters: its start, "..." and length."""
     if len(text) <= _ECHO_LIMIT:
-        return text
-    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+        return f"{quote}{text}{quote}"
+    return f"{quote}{text[:_ECHO_LIMIT]}{quote}... ({len(text)} characters)"
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose errors echo at most ``_ECHO_LIMIT`` characters of a value."""
+
+    def error(self, message: str) -> NoReturn:
+        # argparse echoes arguments as typed after these two prefixes, and a value as its repr
+        typed = r"(?<=unrecognized arguments: ).*|(?<=ambiguous option: ).*(?= could match )"
+        quoted = r"(['\"])((?:\\.|(?!\1)[^\\])*)\1"  # a repr is cut between its quotes
+        cut = lambda m: _cut(m[2], m[1]) if m[1] else _cut(m[0])  # noqa: E731
+        super().error(re.sub(f"{typed}|{quoted}", cut, message, flags=re.DOTALL))
 
 
 def _format_value(value: object) -> str:
@@ -137,7 +148,7 @@ def _figure_svg(matrix: np.ndarray) -> str:
 
 
 def _parse_scenario(text: str) -> _Scenario:
-    """A scenario document's probabilities, decay law and objective; an error names its field."""
+    """A scenario document's probabilities and decay law; an error names its field."""
     # deep nesting raises RecursionError; an integer of over 4,300 digits, ValueError
     try:
         doc = json.loads(text)
@@ -145,7 +156,7 @@ def _parse_scenario(text: str) -> _Scenario:
         raise ValueError(f"scenario document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("scenario document must be a JSON object")
-    unknown = set(doc) - {"probabilities", "decay", "objective"}
+    unknown = set(doc) - {"probabilities", "decay"}
     if unknown:
         raise ValueError(f"unknown scenario field(s): {_cut(', '.join(sorted(unknown)))}")
 
@@ -172,13 +183,7 @@ def _parse_scenario(text: str) -> _Scenario:
         raise ValueError(f"{decay_type} decay requires a '{key}' field")
     decay = (AdditiveDecay(raw_decay[key], probabilities.n) if decay_type == "additive"
              else MultiplicativeDecay(raw_decay[key]))
-
-    objective = doc.get("objective", "expected")
-    try:
-        return probabilities, decay, Objective(objective)
-    except ValueError:
-        message = f"objective must be 'expected' or 'all', got {_cut(repr(objective))}"
-        raise ValueError(message) from None
+    return probabilities, decay
 
 
 def _load_scenario(args: argparse.Namespace) -> _Scenario:
@@ -214,7 +219,7 @@ def _population(args: argparse.Namespace) -> analysis.PopulationModel:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    probabilities, decay, _ = _load_scenario(args)
+    probabilities, decay = _load_scenario(args)
     order = _resolve_order(args.order, probabilities)
     metrics = evaluate_order(probabilities, order, decay)
     _emit(
@@ -230,19 +235,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    probabilities, decay, objective = _load_scenario(args)
-    objective = Objective(args.objective) if args.objective else objective
-    payload: dict[str, object] = {
-        "objective": objective.value,
-        "method": args.method,
-    }
+    probabilities, decay = _load_scenario(args)
+    payload: dict[str, object] = {"objective": args.objective, "method": args.method}
     if args.method == "brute":
-        order, value = brute_force_optimal(probabilities, decay, objective)
+        order, value = brute_force_optimal(probabilities, decay, args.objective)
     else:
-        strategy = recommended_order(decay, objective)
+        strategy = recommended_order(decay, args.objective)
         payload["strategy"] = strategy
         order = _resolve_order("identity" if strategy == "any" else strategy, probabilities)
-        value = evaluate_order(probabilities, order, decay).value(objective)
+        value = evaluate_order(probabilities, order, decay).value(args.objective)
     payload["order"] = [int(i) for i in order]
     payload["value"] = float(value)
     _emit(payload, args.format)
@@ -306,12 +307,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_format_flag(parser: argparse.ArgumentParser, *extra: str) -> None:
+def _add_format_flag(parser: argparse.ArgumentParser, *extra: str,
+                     modes: str = "human-readable lines or canonical JSON") -> None:
     parser.add_argument(
         "--format",
         choices=("text", "structured", *extra),
         default="text",
-        help="output mode: human-readable lines or canonical JSON (default: text)",
+        help=f"output mode: {modes} (default: text)",
     )
 
 
@@ -327,7 +329,7 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_cut(repr(text))}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _float(text: str) -> float:
@@ -335,7 +337,7 @@ def _float(text: str) -> float:
     try:
         return float(text) + 0.0
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {_cut(repr(text))}") from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
@@ -361,7 +363,7 @@ def _add_population_flags(parser: argparse.ArgumentParser, max_n: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="decaysched",
         description="Evaluate, optimize, and analyze service orderings under probability decay.",
     )
@@ -383,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--objective",
         choices=("expected", "all"),
-        help="metric to maximize (default: the scenario's objective)",
+        default="expected",
+        help="metric to maximize (default: expected)",
     )
     p_opt.add_argument(
         "--method",
@@ -425,7 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--header", action="store_true", help="prepend stage/item labels to the CSV"
     )
-    _add_format_flag(p_fig, "svg")
+    _add_format_flag(
+        p_fig, "svg", modes="text is CSV, structured canonical JSON, svg an SVG heatmap"
+    )
     p_fig.set_defaults(func=_cmd_figure)
 
     return parser

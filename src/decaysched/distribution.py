@@ -57,15 +57,6 @@ class ProbabilityVector:
     def n(self) -> int:
         return self.probs.size
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProbabilityVector):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
-
-    def __hash__(self) -> int:
-        # equal vectors hold equal bytes: -0.0 is stored as 0.0, and NaN never
-        return hash(self.probs.tobytes())
-
 
 def _frozen(values) -> np.ndarray:
     """A read-only float64 copy of ``values``, as every result record holds."""

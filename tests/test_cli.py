@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from decaysched import (
     AdditiveDecay,
     MultiplicativeDecay,
-    Objective,
     PopulationModel,
     ProbabilityVector,
     evaluate_order,
@@ -87,9 +86,6 @@ def mutated_documents(draw):
         "probabilities": draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)),
         "decay": draw(valid_decays),
     }
-    objective = draw(st.sampled_from([None, "expected", "all"]))
-    if objective is not None:
-        doc["objective"] = objective
     paths = [(key,) for key in doc] + [("decay", key) for key in doc["decay"]]
     paths += [("probabilities", i) for i in range(len(doc["probabilities"]))]
     mutation = draw(st.sampled_from(["none", "drop", "add", "replace", "truncate"]))
@@ -106,7 +102,8 @@ def mutated_documents(draw):
             target[last] = _RAW
     elif mutation == "add":
         target = draw(st.sampled_from([doc, doc["decay"]]))
-        target[draw(st.sampled_from(["interval", "extra", "type", "rate", "factor"]))] = 0.5
+        key = draw(st.sampled_from(["objective", "interval", "extra", "type", "rate", "factor"]))
+        target[key] = 0.5
     text = json.dumps(doc)
     if raw is not None:
         text = text.replace(json.dumps(_RAW), raw)
@@ -117,21 +114,18 @@ def mutated_documents(draw):
 
 # what a scenario document sets, as _parse_scenario returns it
 def parsed(text):
-    probabilities, decay, objective = _parse_scenario(text)
-    return probabilities.probs.tolist(), decay, objective
+    probabilities, decay = _parse_scenario(text)
+    return probabilities.probs.tolist(), decay
 
 
 class TestParseScenario:
     def test_additive_document(self):
-        assert parsed(SCENARIO_A) == (
-            [0.8, 0.9, 0.7, 0.7], AdditiveDecay.linear(0.1, 4), Objective.EXPECTED_SUCCESSES
-        )
+        assert parsed(SCENARIO_A) == ([0.8, 0.9, 0.7, 0.7], AdditiveDecay.linear(0.1, 4))
 
     def test_multiplicative_document(self):
         assert parsed(
-            '{"probabilities": [0.5, 0.5], "decay": {"type": "multiplicative", "factor": 0.9},'
-            ' "objective": "all"}'
-        ) == ([0.5, 0.5], MultiplicativeDecay(0.9), Objective.PROB_ALL_SUCCESS)
+            '{"probabilities": [0.5, 0.5], "decay": {"type": "multiplicative", "factor": 0.9}}'
+        ) == ([0.5, 0.5], MultiplicativeDecay(0.9))
 
     def test_rejects_empty_probabilities(self):
         with pytest.raises(ValueError, match="probabilities"):
@@ -251,16 +245,14 @@ class TestParseScenario:
             _parse_scenario('{"probabilities": [0.5], "decay": {"type": "multiplicative"}}')
 
     def test_rejects_bad_objective_and_interval(self):
-        with pytest.raises(ValueError, match="objective"):
-            _parse_scenario(
-                '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
-                ' "objective": "most"}'
-            )
-        with pytest.raises(ValueError, match=r"unknown scenario field\(s\): interval"):
-            _parse_scenario(
-                '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
-                ' "interval": 0}'
-            )
+        # the objective is optimize's --objective, not a field of the document
+        for field in ("objective", "interval"):
+            with pytest.raises(ValueError) as info:
+                _parse_scenario(
+                    '{"probabilities": [0.5], "decay": {"type": "additive", "rate": 0.1},'
+                    ' "%s": "most"}' % field
+                )
+            assert str(info.value) == f"unknown scenario field(s): {field}"
 
     @pytest.mark.parametrize("name", REFUSED_JSON)
     def test_json_that_json_refuses_is_not_valid_json(self, name):
@@ -271,31 +263,32 @@ class TestParseScenario:
     @given(text=mutated_documents())
     def test_fails_only_with_value_error(self, text):
         try:
-            probabilities, decay, objective = _parse_scenario(text)
+            scenario = _parse_scenario(text)
         except ValueError:
             return
+        # unpacked outside the try, where a result of the wrong length is no refusal
+        probabilities, decay = scenario
         assert isinstance(probabilities, ProbabilityVector)
         assert isinstance(decay, (AdditiveDecay, MultiplicativeDecay))
-        assert isinstance(objective, Objective)
 
 
-def document(probabilities, decay, objective):
-    """The scenario document that sets these probabilities, decay law and objective."""
+def document(probabilities, decay):
+    """The scenario document that sets these probabilities and this decay law."""
     law = ({"type": "additive", "rate": decay.rate} if isinstance(decay, AdditiveDecay)
            else {"type": "multiplicative", "factor": decay.factor})
-    return json.dumps({"probabilities": probabilities, "decay": law, "objective": objective.value})
+    return json.dumps({"probabilities": probabilities, "decay": law})
 
 
 class TestScenarioRoundTrip:
     # a document written from values parses back to exactly those values
     VALUES = [
-        ([0.8, 0.9, 0.7, 0.7], AdditiveDecay.linear(0.1, 4), Objective.EXPECTED_SUCCESSES),
-        ([0.5], AdditiveDecay.linear(0.0, 1), Objective.EXPECTED_SUCCESSES),
-        ([0.2, 0.4], AdditiveDecay.linear(0.07, 2), Objective.PROB_ALL_SUCCESS),
-        ([1.0, 0.0], MultiplicativeDecay(0.37), Objective.EXPECTED_SUCCESSES),
+        ([0.8, 0.9, 0.7, 0.7], AdditiveDecay.linear(0.1, 4)),
+        ([0.5], AdditiveDecay.linear(0.0, 1)),
+        ([0.2, 0.4], AdditiveDecay.linear(0.07, 2)),
+        ([1.0, 0.0], MultiplicativeDecay(0.37)),
         # valid factors that are not floats
-        ([0.5], MultiplicativeDecay(np.float32(0.3)), Objective.EXPECTED_SUCCESSES),
-        ([0.5], MultiplicativeDecay(Fraction(1, 3)), Objective.EXPECTED_SUCCESSES),
+        ([0.5], MultiplicativeDecay(np.float32(0.3))),
+        ([0.5], MultiplicativeDecay(Fraction(1, 3))),
     ]
 
     @pytest.mark.parametrize("values", VALUES, ids=[f"config{i}" for i in range(len(VALUES))])
@@ -306,27 +299,23 @@ class TestScenarioRoundTrip:
     @given(
         probs=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8),
         rate=st.floats(0.0, 1.0, allow_nan=False),
-        objective=st.sampled_from(list(Objective)),
         multiplicative=st.booleans(),
         factor=st.floats(0.001, 0.999, allow_nan=False),
     )
-    def test_round_trip_property(self, probs, rate, objective, multiplicative, factor):
+    def test_round_trip_property(self, probs, rate, multiplicative, factor):
         decay = MultiplicativeDecay(factor) if multiplicative else AdditiveDecay.linear(rate, len(probs))
-        assert parsed(document(probs, decay, objective)) == (probs, decay, objective)
+        assert parsed(document(probs, decay)) == (probs, decay)
 
     @settings(max_examples=100, derandomize=True)
     @given(
         probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
         decay=valid_decays,
-        objective=st.sampled_from([None, "expected", "all"]),
     )
-    def test_document_round_trip_property(self, probs, decay, objective):
+    def test_document_round_trip_property(self, probs, decay):
         doc = {"probabilities": probs, "decay": decay}
-        if objective is not None:
-            doc["objective"] = objective
-        # the law reads a rate of -0.0 as 0.0, and the objective defaults to expected
+        # the law reads a rate of -0.0 as 0.0
         law = {key: value if key == "type" else value + 0.0 for key, value in decay.items()}
-        canonical = {"probabilities": probs, "decay": law, "objective": objective or "expected"}
+        canonical = {"probabilities": probs, "decay": law}
         # compared as text, which shows a -0.0 that == does not
         assert document(*parsed(json.dumps(doc))) == json.dumps(canonical)
 
@@ -630,16 +619,16 @@ class TestCliEvaluate:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", NOT_UTF8_ERROR.encode())
 
-    def test_a_deeply_nested_objective_is_one_error_line(self, monkeypatch, capsys):
-        # an objective that json reads is echoed no deeper than json read it,
+    def test_a_deeply_nested_decay_type_is_one_error_line(self, monkeypatch, capsys):
+        # a decay.type that json reads is echoed no deeper than json read it,
         # and one nested deeper than json reads is invalid JSON
         limit = sys.getrecursionlimit()
         for depth in range(limit - 200, limit):
-            document = SCENARIO_A[:-1] + ', "objective": ' + "[" * depth + "]" * depth + "}"
+            document = '{"probabilities": [0.5], "decay": {"type": %s}}' % ("[" * depth + "]" * depth)
             monkeypatch.setattr("sys.stdin", io.StringIO(document))
             code, out, err = run_cli(["evaluate"], capsys)
             assert (code, out, err.count("\n")) == (2, "", 1), (depth, err[:300])
-            assert err.startswith(("error: objective must be", "error: scenario document is not")), err
+            assert err.startswith(("error: decay.type must be", "error: scenario document is not")), err
 
     def test_invalid_scenario_names_the_field(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -716,19 +705,25 @@ class TestCliOptimize:
         want = evaluate_order([0.9, 0.5, 0.7], [0, 1, 2], MultiplicativeDecay(0.8)).prob_all_success
         assert payload["value"] == pytest.approx(want, abs=1e-15)
 
-    def test_objective_defaults_to_scenario_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["brute", "sort"])
+    def test_objective_defaults_to_expected(self, method, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(
-            '{"probabilities": [0.8, 0.9, 0.1, 0.2], "decay": {"type": "additive", "rate": 0.1},'
-            ' "objective": "all"}'
-        )
-        code, out, _ = run_cli(
-            ["optimize", "--scenario", str(scenario), "--format", "structured"], capsys
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["objective"] == "all"
-        assert payload["order"] == [2, 3, 0, 1]
+        scenario.write_text(SCENARIO_B)
+        argv = ["optimize", "--scenario", str(scenario), "--method", method]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("objective: expected\n")
+        assert run_cli([*argv, "--objective", "expected"], capsys) == (0, out, "")
+
+    # the document is the instance; what to maximize is optimize's --objective alone
+    @pytest.mark.parametrize(
+        "argv", [["evaluate"], ["optimize"], ["optimize", "--objective", "all"]],
+        ids=["evaluate", "optimize", "optimize-objective"],
+    )
+    def test_a_document_objective_is_an_unknown_field(self, argv, monkeypatch, capsys):
+        document = SCENARIO_B[:-1] + ', "objective": "all"}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(document))
+        assert run_cli(argv, capsys) == (2, "", "error: unknown scenario field(s): objective\n")
 
     def test_brute_force_size_cap_is_validation(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -916,7 +911,7 @@ class TestCliFigure:
         assert run_cli([*argv, "text"], capsys) == (0, _figure_csv(matrix), "")
         assert run_cli([*argv, "svg"], capsys) == (0, _figure_svg(matrix), "")
 
-    def test_stdout_csv_when_no_out(self, capsys):
+    def test_header_csv_on_stdout(self, capsys):
         code, out, _ = run_cli(["figure", "--seed", "3", "--n", "4", "--header"], capsys)
         assert code == 0
         matrix = generate_figure_matrix(figure_model(4), seed=3)
@@ -932,9 +927,19 @@ class TestCliFigure:
         assert payload["cells"] == [[float(v) for v in row] for row in matrix]
         assert payload["initial_probabilities"] == matrix[0].tolist()
 
-    def test_checks_the_figure_size_before_writing_any(self, capsys):
+    def test_checks_the_figure_size_before_printing_any(self, capsys):
         code, out, err = run_cli(["figure", "--n", "1001"], capsys)
         assert (code, out, err) == (2, "", "error: --n must be at most 1000, got 1001\n")
+
+    def test_help_names_what_each_format_prints(self, capsys):
+        assert main(["figure", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("--format {text,structured,svg} output mode: text is CSV, structured canonical "
+                "JSON, svg an SVG heatmap (default: text)") in help_text
+        assert main(["evaluate", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("--format {text,structured} output mode: human-readable lines or canonical JSON "
+                "(default: text)") in help_text
 
     def test_rejects_bad_bounds(self, capsys):
         code, _, err = run_cli(["figure", "--low", "1", "--high", "0.5"], capsys)
@@ -1127,7 +1132,6 @@ class TestCliNeverCrashes:
     @pytest.mark.parametrize(
         "command,changes,field",
         [
-            (["optimize"], {"objective": [0] * 100_000}, "objective"),
             (["evaluate"], {"probabilities": ["x" * 100_000]}, "probabilities[0]"),
             (["evaluate"], {"decay": {"type": "y" * 100_000}}, "decay.type"),
             (["evaluate"], {"decay": {"type": "additive", "rate": [1] * 100_000}}, "decay rate"),
@@ -1142,7 +1146,7 @@ class TestCliNeverCrashes:
             (["simulate", "--trials", "1" + "0" * 4_000], {}, "trials must be at most"),
             (["evaluate", "--scenario", "a" * 5_000], {}, "[Errno 36] File name too long: "),
         ],
-        ids=["objective", "probability", "decay-type", "rate", "field", "decay-field", "order",
+        ids=["probability", "decay-type", "rate", "field", "decay-field", "order",
              "order-spec", "trials", "scenario-os-error"],
     )
     def test_a_huge_value_is_one_short_error_line(self, command, changes, field, monkeypatch,
@@ -1165,9 +1169,24 @@ class TestCliNeverCrashes:
             (["simulate", "--seed", "-" + "1" * 4_000],
              "error: seed must be a non-negative integer, got -1111"),
             (["figure", "--low", "x" * 5_000], "decaysched figure: error: argument --low: "),
+            # a run of backslashes, whose repr doubles each, must not stall the cut
+            (["simulate", "--seed", "\\" * 60],
+             "decaysched simulate: error: argument --seed: invalid int value: '\\\\"),
+            (["figure", "--low", "\\" * 60],
+             "decaysched figure: error: argument --low: invalid float value: '\\\\"),
+            # argparse's own reports of a choice or an argument it does not know
+            (["optimize", "--method", "x" * 100_000],
+             "decaysched optimize: error: argument --method: invalid choice: 'xxx"),
+            (["optimize", "--objective", "x" * 100_000],
+             "decaysched optimize: error: argument --objective: invalid choice: 'xxx"),
+            (["evaluate", "--format", "x" * 100_000],
+             "decaysched evaluate: error: argument --format: invalid choice: 'xxx"),
+            (["x" * 100_000], "decaysched: error: argument command: invalid choice: 'xxx"),
+            (["positivity", "--" + "x" * 100_000], "decaysched: error: unrecognized arguments: --xxx"),
         ],
         ids=["n-too-long-for-int", "n-too-large", "trials-too-long-for-int", "seed-negative",
-             "low-not-a-float"],
+             "low-not-a-float", "seed-backslashes", "low-backslashes", "method-choice", "objective-choice", "format-choice",
+             "subcommand-choice", "unknown-option"],
     )
     def test_a_huge_argument_is_one_short_error_line(self, argv, start, capsys):
         # argparse prints its usage before what is not a number at all, and
@@ -1179,6 +1198,47 @@ class TestCliNeverCrashes:
         assert errors[0].startswith(start), errors[0][:300]
         assert err.startswith("usage: ") != start.startswith("error: "), err[:300]
         assert len(errors[0].encode()) < 300, errors[0][:300]
+
+    # argparse's own report, unchanged while the value is at most 100 characters;
+    # a value is its shape with {y} filled to the size
+    @pytest.mark.parametrize(
+        "argv,shape,line",
+        [
+            (["optimize", "--method", "{v}"], "{y}", "decaysched optimize: error: argument "
+             "--method: invalid choice: '{v}' (choose from 'brute', 'sort')"),
+            (["evaluate", "--format", "{v}"], "{y}", "decaysched evaluate: error: argument "
+             "--format: invalid choice: '{v}' (choose from 'text', 'structured')"),
+            (["{v}"], "{y}", "decaysched: error: argument command: invalid choice: '{v}' "
+             "(choose from 'evaluate', 'optimize', 'simulate', 'positivity', 'figure')"),
+            (["positivity", "{v}"], "--{y}", "decaysched: error: unrecognized arguments: {v}"),
+            (["figure", "--header={v}"], "{y}",
+             "decaysched figure: error: argument --header: ignored explicit argument '{v}'"),
+            (["optimize", "--method", "{v}"], "{y}'", "decaysched optimize: error: argument "
+             "--method: invalid choice: \"{v}\" (choose from 'brute', 'sort')"),
+        ],
+        ids=["method", "format", "subcommand", "unknown-option", "explicit-argument", "quote"],
+    )
+    @pytest.mark.parametrize("size", [3, 99, 100])
+    def test_argparse_echoes_a_short_value_whole(self, argv, shape, line, size, capsys):
+        value = shape.replace("{y}", "y" * (size - len(shape) + 3))
+        assert len(value) == size
+        code, out, err = run_cli([arg.replace("{v}", value) for arg in argv], capsys)
+        assert (code, out, err.splitlines()[-1]) == (2, "", line.replace("{v}", value))
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["optimize", "--method", "y" * 101], "decaysched optimize: error: argument --method: "
+             f"invalid choice: '{'y' * 100}'... (101 characters) (choose from 'brute', 'sort')"),
+            # the repr of 60 backslashes is 120 characters, and it is cut once, by the parser
+            (["simulate", "--seed", "\\" * 60], "decaysched simulate: error: argument --seed: "
+             "invalid int value: '" + "\\" * 100 + "'... (120 characters)"),
+        ],
+        ids=["choice", "backslashes"],
+    )
+    def test_argparse_cuts_a_long_value_to_100_characters(self, argv, line, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err.splitlines()[-1]) == (2, line)
 
     def test_a_negative_order_fails_in_either_spelling(self, monkeypatch, capsys):
         # argparse reads "-1,0,1,2" after a space as an option, so only the "="

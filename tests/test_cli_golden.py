@@ -42,6 +42,8 @@ CASES = {
         for objective in ("expected", "all")
         for law in ("additive", "multiplicative")
     },
+    # no --objective: the default objective, expected
+    "optimize-default-objective": ("additive", ["optimize"]),
     "simulate-default": (None, ["simulate"]),
     "simulate-model": (
         None,
