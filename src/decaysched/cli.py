@@ -188,7 +188,7 @@ def _parse_scenario(text: str) -> _Scenario:
 
 def _load_scenario(args: argparse.Namespace) -> _Scenario:
     try:
-        if args.scenario in (None, "-"):
+        if args.scenario == "-":
             text = sys.stdin.read()
         else:
             text = Path(args.scenario).read_text(encoding="utf-8")
@@ -320,45 +320,30 @@ def _add_format_flag(parser: argparse.ArgumentParser, *extra: str,
 def _add_scenario_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
+        default="-",
         help="path to a scenario file, or '-' for standard input (default: standard input)",
     )
 
 
-def _int(text: str) -> int:
-    """argparse type: an int, whose range the library checks."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _float(text: str) -> float:
-    """argparse type: a float, with ``-0.0`` read as ``0.0`` so that no error echoes ``-0``."""
-    try:
-        return float(text) + 0.0
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-
-
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_int, default=0, help="RNG seed, >= 0 (default: 0)")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed, >= 0 (default: 0)")
 
 
 def _add_population_flags(parser: argparse.ArgumentParser, max_n: int) -> None:
     parser.add_argument(
         "--n",
-        type=_int,
+        type=int,
         default=13,
         help=f"population size, at most {max_n} (default: 13)",
     )
     parser.add_argument(
-        "--decay", type=_float, default=0.06, help="linear decay step per stage (default: 0.06)"
+        "--decay", type=float, default=0.06, help="linear decay step per stage (default: 0.06)"
     )
     parser.add_argument(
-        "--low", type=_float, default=0.5, help="lower bound of the uniform draw (default: 0.5)"
+        "--low", type=float, default=0.5, help="lower bound of the uniform draw (default: 0.5)"
     )
     parser.add_argument(
-        "--high", type=_float, default=1.0, help="upper bound of the uniform draw (default: 1.0)"
+        "--high", type=float, default=1.0, help="upper bound of the uniform draw (default: 1.0)"
     )
 
 
@@ -404,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_population_flags(p_sim, analysis.MAX_POPULATION_N)
     p_sim.add_argument(
         "--trials",
-        type=_int,
+        type=int,
         default=100_000,
         help="Monte Carlo trials, with trials * n at most "
         f"{analysis.MAX_SIMULATED_DRAWS} (default: 100000)",

@@ -40,14 +40,17 @@ def _echo(value: object) -> str:
 
     The ``repr`` tells a refused value from a valid-looking one: the string
     ``'0.1'`` and ``Decimal('0.5')`` show their quotes and type, while a
-    Python float, int or list reads as its text.  An int too long for Python
-    to write out (over 4,300 digits by default) shows its digit count
-    instead, also as a list entry, so that the message names its field
-    rather than failing to form.
+    Python float, int or list reads as its text, and a float ``-0.0`` as
+    ``0.0``, as ``_real`` reads it.  An int too long for Python to write
+    out (over 4,300 digits by default) shows its digit count instead, also
+    as a list entry, so that the message names its field rather than
+    failing to form.
 
     >>> _echo(-10**5000)
     '<negative int of 5001 digits>'
     """
+    if isinstance(value, float):
+        value += 0.0
     try:
         return _clip(repr(value))
     except ValueError:

@@ -358,7 +358,8 @@ MUTANTS = (
         "killed",
         "an unknown objective raises the enum's own error, which echoes it whole",
     ),
-    # one echo, one fold of -0.0, and a direction that is no str
+    # one echo, the fold of -0.0 where a scalar is read, a direction that is no
+    # str, and the same fold where an echo shows it
     Mutant(
         "decay.py",
         "return _clip(repr(value))",
@@ -379,6 +380,13 @@ MUTANTS = (
         "True",
         "killed",
         "an array direction raises numpy's ambiguous-truth error, which names no field",
+    ),
+    Mutant(
+        "decay.py",
+        "isinstance(value, float)",
+        "False",
+        "killed",
+        "an echo keeps the sign of -0.0, so an error shows got -0.0",
     ),
 )
 

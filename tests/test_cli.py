@@ -652,6 +652,14 @@ class TestCliEvaluate:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
         assert run_cli(["evaluate"], capsys) == (2, "", f"error: {message}\n")
 
+    # the law echoes a factor of -0.0 as it reads it, as 0.0
+    def test_a_negative_zero_factor_is_echoed_as_zero(self, monkeypatch, capsys):
+        document = '{"probabilities": [0.5], "decay": {"type": "multiplicative", "factor": -0.0}}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(document))
+        assert run_cli(["evaluate"], capsys) == (
+            2, "", "error: multiplicative factor must lie strictly between 0 and 1, got 0.0\n"
+        )
+
 
 class TestCliOptimize:
     def test_brute_force_all_success(self, tmp_path, capsys):

@@ -274,6 +274,23 @@ def test_negative_zero_is_read_as_zero():
     assert [math.copysign(1.0, value) for value in values] == [1.0] * 4
 
 
+# and echoed as 0.0, so no error shows -0 either
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: MultiplicativeDecay(-0.0),
+         "multiplicative factor must lie strictly between 0 and 1, got 0.0"),
+        (lambda: PopulationModel(3, 0.9, -0.0, 0.1),
+         "bounds must satisfy 0 <= low < high <= 1, got low=0.9 high=0.0"),
+    ],
+    ids=["factor", "high"],
+)
+def test_negative_zero_is_echoed_as_zero(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_records_hold_python_floats_and_ints():
     law = AdditiveDecay(np.float32(0.5), np.int64(3))
     assert (type(law.rate), type(law.n)) == (float, int)
