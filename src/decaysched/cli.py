@@ -71,7 +71,9 @@ def _cut(text: str, quote: str = "") -> str:
     """``text`` in ``quote``s, cut to ``_ECHO_LIMIT`` characters: its start, "..." and length."""
     if len(text) <= _ECHO_LIMIT:
         return f"{quote}{text}{quote}"
-    return f"{quote}{text[:_ECHO_LIMIT]}{quote}... ({len(text)} characters)"
+    head = text[:_ECHO_LIMIT]  # a repr's cut drops the lone \ of a split escape such as \n
+    head = head[:-1] if quote and (len(head) - len(head.rstrip("\\"))) % 2 else head
+    return f"{quote}{head}{quote}... ({len(text)} characters)"
 
 
 class _ArgumentParser(argparse.ArgumentParser):

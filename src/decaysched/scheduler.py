@@ -56,6 +56,10 @@ class Objective(enum.Enum):
     PROB_ALL_SUCCESS = "all"
 
 
+# each objective's fold of an order's stage probabilities, left to right from its identity
+_FOLDS = {Objective.EXPECTED_SUCCESSES: np.add, Objective.PROB_ALL_SUCCESS: np.multiply}
+
+
 def _objective(value: object) -> Objective:
     """``value`` as an ``Objective``: a member, or its value ``'expected'`` or ``'all'``."""
     try:
@@ -69,11 +73,11 @@ class ScheduleMetrics:
     """Success metrics of one evaluated service order.
 
     A record: it freezes a float64 copy of the at-processing-time
-    probabilities, checks nothing, and computes from them
-    ``expected_successes`` (their sum) and ``prob_all_success`` (their
-    product) at once, and ``pmf``, the O(n^2) success-count distribution,
-    on first read.  The pmf's mean and top entry match the first two up to
-    rounding that grows with n.
+    probabilities, checks nothing, and folds them into their sum and their
+    product left to right, as the exhaustive search does, so no order's
+    ``value`` exceeds the search's, the value of the order it returns.  The
+    O(n^2) success-count ``pmf`` is computed on first read; its mean and top
+    entry match the sum and the product up to rounding that grows with n.
     """
 
     stage_probabilities: np.ndarray
@@ -83,17 +87,16 @@ class ScheduleMetrics:
     def __post_init__(self) -> None:
         p1 = _frozen(self.stage_probabilities)
         object.__setattr__(self, "stage_probabilities", p1)
-        object.__setattr__(self, "expected_successes", float(np.sum(p1)))
-        object.__setattr__(self, "prob_all_success", float(np.prod(p1)))
+        object.__setattr__(self, "expected_successes", self.value(Objective.EXPECTED_SUCCESSES))
+        object.__setattr__(self, "prob_all_success", self.value(Objective.PROB_ALL_SUCCESS))
 
     @cached_property
     def pmf(self) -> SuccessCountPmf:
         return _convolved_pmf(self.stage_probabilities)
 
     def value(self, objective: Objective) -> float:
-        if _objective(objective) is Objective.EXPECTED_SUCCESSES:
-            return self.expected_successes
-        return self.prob_all_success
+        fold = _FOLDS[_objective(objective)]
+        return float(fold.accumulate(np.append(fold.identity, self.stage_probabilities))[-1])
 
 
 def sort_order(p0, direction: OrderDirection) -> np.ndarray:
@@ -194,7 +197,7 @@ def _without_each(m: int) -> np.ndarray:
     return np.broadcast_to(np.arange(m), (m, m))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
 
 
-def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.ndarray:
+def _best_folds(tables: np.ndarray, start: np.ndarray, fold: np.ufunc) -> np.ndarray:
     """Best fold of each table in a batch over every order of its k items.
 
     ``tables`` is item-major, shape ``(k, k, batch)``: entry ``[i, j, b]`` is
@@ -212,7 +215,6 @@ def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.
     k, _, batch = tables.shape
     best = np.empty((1 << k, batch))
     best[0] = start
-    fold = np.multiply if use_product else np.add
     for stage, (layer, items, preds) in enumerate(_subset_layers(k)):
         prior = best.take(preds, axis=0)
         fold(prior, tables[stage].take(items, axis=0), out=prior)
@@ -220,13 +222,13 @@ def _best_folds(tables: np.ndarray, start: np.ndarray, use_product: bool) -> np.
     return best[-1]
 
 
-def _best_permutation(table: np.ndarray, use_product: bool) -> tuple[float, np.ndarray]:
-    """Maximize sum (or product) of one entry per row of an n-by-n value table.
+def _best_permutation(table: np.ndarray, fold: np.ufunc) -> tuple[float, np.ndarray]:
+    """Maximize the ``fold`` (a ``_FOLDS`` ufunc) of one entry per row of an n-by-n table.
 
     Entry ``(i, j)`` is item ``j``'s value at stage ``i``.  Values are
-    folded stage by stage, as an enumeration of all n! orders would fold
-    them, and ties resolve to the lexicographically smallest permutation.
-    Returns ``(best_value, best_permutation)``.
+    folded stage by stage from the identity, as an enumeration of all n!
+    orders would fold them, and ties resolve to the lexicographically
+    smallest permutation.  Returns ``(best_value, best_permutation)``.
 
     Precondition, not checked here: ``table`` is a non-empty, square
     float64 array with no negative or NaN entry, as ``brute_force_optimal``
@@ -241,17 +243,17 @@ def _best_permutation(table: np.ndarray, use_product: bool) -> tuple[float, np.n
     their maximum is the optimum; no separate pass finds it.
     """
     n = table.shape[0]
-    value = 1.0 if use_product else 0.0
+    value = fold.identity
     remaining = np.arange(n, dtype=np.int64)
     perm = np.empty(n, dtype=np.int64)
     for stage in range(n):
         # fold from the actual prefix value, which may sit below the best
         # fold of the prefix set
         entries = table[stage, remaining]
-        starts = entries * value if use_product else entries + value
+        starts = fold(entries, value)
         # row r: the items left after serving remaining[r] now
         rest = remaining[_without_each(remaining.size)]
-        folds = _best_folds(table[stage + 1 :][:, rest.T], starts, use_product)
+        folds = _best_folds(table[stage + 1 :][:, rest.T], starts, fold)
         if stage == 0:
             target = folds.max()
         pick = int((folds == target).argmax())
@@ -265,7 +267,8 @@ def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np
     """Exactly maximize the objective over all n! service orders.
 
     Returns ``(order, value)``, found by ``_best_permutation``.  The value is
-    bit-identical to enumerating every order, and ties resolve to the
+    bit-identical to enumerating every order and is ``order``'s value by
+    ``evaluate_order``, which no order's value exceeds.  Ties resolve to the
     lexicographically smallest order.  Limited to n <= ``BRUTE_FORCE_MAX_ITEMS``.
     """
     pv = _as_probability_vector(p0)
@@ -274,11 +277,8 @@ def brute_force_optimal(p0, decay: _DecaySpec, objective: Objective) -> tuple[np
         raise ValueError(
             f"exhaustive search is limited to n <= {BRUTE_FORCE_MAX_ITEMS} items, got n = {pv.n}"
         )
-    table = stage_item_matrix(pv, decay)
-    value, perm = _best_permutation(
-        table, use_product=objective is Objective.PROB_ALL_SUCCESS
-    )
-    return perm, float(value)
+    value, perm = _best_permutation(stage_item_matrix(pv, decay), _FOLDS[objective])
+    return perm, value
 
 
 def recommended_order(decay: _DecaySpec, objective: Objective) -> OrderStrategy:

@@ -388,6 +388,21 @@ MUTANTS = (
         "killed",
         "an echo keeps the sign of -0.0, so an error shows got -0.0",
     ),
+    # one fold per objective: a schedule's value is the left fold the search maximizes
+    Mutant(
+        "scheduler.py",
+        "float(fold.accumulate(np.append(fold.identity, self.stage_probabilities))[-1])",
+        "float(fold.reduce(self.stage_probabilities))",
+        "killed",
+        "ScheduleMetrics sums with np.sum's pairwise reduce again, and multiplies with np.prod's",
+    ),
+    Mutant(
+        "scheduler.py",
+        "value = fold.identity",
+        "value = 0.0",
+        "killed",
+        "the search starts every fold from 0.0 instead of the ufunc's identity",
+    ),
 )
 
 

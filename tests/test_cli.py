@@ -733,6 +733,21 @@ class TestCliOptimize:
         monkeypatch.setattr("sys.stdin", io.StringIO(document))
         assert run_cli(argv, capsys) == (2, "", "error: unknown scenario field(s): objective\n")
 
+    @pytest.mark.parametrize("method", ["brute", "sort"])
+    def test_both_methods_print_the_searched_value(self, method, monkeypatch, capsys):
+        # numpy's pairwise sum of this order reads 2.1556132842972677, 1 ulp
+        # above the left fold that the exhaustive search maximizes
+        document = json.dumps({
+            "probabilities": [0.79, 0.19, 0.8, 0.19, 0.08, 0.86, 0.86, 0.88, 0.47],
+            "decay": {"type": "multiplicative", "factor": 0.63},
+        })
+        monkeypatch.setattr("sys.stdin", io.StringIO(document))
+        code, out, err = run_cli(["optimize", "--method", method, "--format", "structured"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["order"] == [7, 5, 6, 2, 0, 8, 1, 3, 4]
+        assert payload["value"] == 2.1556132842972673
+
     def test_brute_force_size_cap_is_validation(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         doc = {"probabilities": [0.5] * 11, "decay": {"type": "additive", "rate": 0.01}}
@@ -1241,8 +1256,11 @@ class TestCliNeverCrashes:
             # the repr of 60 backslashes is 120 characters, and it is cut once, by the parser
             (["simulate", "--seed", "\\" * 60], "decaysched simulate: error: argument --seed: "
              "invalid int value: '" + "\\" * 100 + "'... (120 characters)"),
+            # the repr's escape \n would be cut after its backslash, which escaped the quote
+            (["optimize", "--method", "x" * 99 + "\n"], "decaysched optimize: error: argument "
+             f"--method: invalid choice: '{'x' * 99}'... (101 characters) (choose from 'brute', 'sort')"),
         ],
-        ids=["choice", "backslashes"],
+        ids=["choice", "backslashes", "escape"],
     )
     def test_argparse_cuts_a_long_value_to_100_characters(self, argv, line, capsys):
         code, _, err = run_cli(argv, capsys)
